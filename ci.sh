@@ -273,6 +273,16 @@ for out in "$wa_out" "$wb_out"; do
         exit 1
     }
 done
+# Both shards released every lease they took: the insert releases it
+# after a simulation, the worker itself after a store hit found under
+# the lease or a failed job.
+dist_stats="target/perf-smoke/dist-store-stats.out"
+./target/release/condspec store stats --root "$dist_store" > "$dist_stats"
+grep -q " 0 leases," "$dist_stats" || {
+    echo "the shards left leases behind:" >&2
+    cat "$dist_stats" >&2
+    exit 1
+}
 python3 - "$wa_out" "$wb_out" <<'EOF'
 import re, sys
 

@@ -634,12 +634,11 @@ fn run(cmd: Command) -> ExitCode {
             let total = scaled.jobs.len();
             let started = std::time::Instant::now();
             let mut done = 0usize;
-            let results = condspec_engine::run_jobs_claimed(
+            let results = condspec_engine::run_jobs(
                 &scaled.jobs,
                 jobs,
                 &programs,
-                &store,
-                &claim,
+                Some((&store, Some(&claim))),
                 |slot, job| {
                     done += 1;
                     let state = match (&job.outcome, job.source) {
@@ -656,19 +655,14 @@ fn run(cmd: Command) -> ExitCode {
                     );
                 },
             );
-            let simulated = results
-                .iter()
-                .filter(|r| r.outcome.is_ok() && r.source == condspec_engine::JobSource::Simulated)
-                .count();
-            let via_store = results
-                .iter()
-                .filter(|r| r.outcome.is_ok() && r.source == condspec_engine::JobSource::Store)
-                .count();
-            let failed: Vec<_> = results
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.outcome.as_ref().err().map(|e| (i, e)))
-                .collect();
+            let (mut simulated, mut via_store, mut failed) = (0usize, 0usize, Vec::new());
+            for (i, job) in results.iter().enumerate() {
+                match (&job.outcome, job.source) {
+                    (Err(error), _) => failed.push((i, error)),
+                    (Ok(_), condspec_engine::JobSource::Store) => via_store += 1,
+                    (Ok(_), _) => simulated += 1,
+                }
+            }
             println!(
                 "worker {owner}: {total} jobs — {simulated} simulated, {via_store} via store, \
                  {} failed in {:.1}s",
@@ -1302,17 +1296,16 @@ fn run_remote_worker(addr: &str, owner: &str, poll_ms: u64, drain: bool) -> Exit
                         }
                     })
                 };
-                let mut results = condspec_engine::run_jobs_stored(
+                let mut results = condspec_engine::run_jobs(
                     std::slice::from_ref(&job),
                     1,
                     &programs,
                     None,
-                    |_, _, _, _| {},
+                    |_, _| {},
                 );
                 stop.store(true, std::sync::atomic::Ordering::Relaxed);
                 let _ = heartbeat.join();
-                let (outcome, _, _) = results.remove(0);
-                outcome
+                results.remove(0).outcome
             }
             Err(message) => Err(message),
         };

@@ -19,6 +19,14 @@
 //! the in-memory program cache reports `program-cache: ...` and the
 //! persistent store `result-store: ...` at the end of a run.
 //!
+//! Every job runs through one loop, [`run_jobs`]: sweeps, sampled
+//! windows, daemon submissions and `condspec worker` alike. Its `store`
+//! argument selects plain simulation, the store lookup/insert, or claim
+//! mode on top of the store ([`SweepOptions::claim`]), in which worker
+//! processes sharing a store root drain one sweep through leases.
+//! [`write_sweep_manifest`] is the one place a job's manifest status is
+//! derived.
+//!
 //! Determinism is the design center: artifacts contain only simulation
 //! results (never wall-clock data), workers communicate results by job
 //! index, and sweep ids derive from job content — so a sweep's on-disk
@@ -47,10 +55,7 @@ pub use cache::{ProgramCache, WorkerContext};
 pub use condspec_store::ResultStore;
 pub use job::{JobSpec, MachinePreset, Workload};
 pub use sampled::{checkpoint_store_key, run_sampled_bench, SampledBenchOutcome, SampledBenchSpec};
-pub use scheduler::{
-    default_workers, run_jobs, run_jobs_cached, run_jobs_claimed, run_jobs_stored, run_jobs_timed,
-    ClaimOptions, ClaimedJob, JobResult, JobTiming,
-};
+pub use scheduler::{default_workers, run_jobs, ClaimOptions, JobDone, JobResult, JobTiming};
 pub use sweep::{Sweep, SweepResults};
 pub use telemetry::SweepTelemetry;
 
@@ -87,10 +92,10 @@ pub struct SweepOptions {
     /// sweep directory. Off by default: the file is nondeterministic by
     /// nature and excluded from the byte-identical artifact guarantee.
     pub telemetry: bool,
-    /// Drain jobs through the store's lease protocol
-    /// ([`run_jobs_claimed`]) instead of the local cursor, so other
-    /// worker processes sharing [`SweepOptions::store`] can shard the
-    /// sweep. Requires `store`; ignored without one.
+    /// Drain jobs through the store's lease protocol (claim mode of
+    /// [`run_jobs`]), so other worker processes sharing
+    /// [`SweepOptions::store`] can shard the sweep. Requires `store`;
+    /// ignored without one.
     pub claim: Option<ClaimOptions>,
 }
 
@@ -210,7 +215,6 @@ pub fn run_sweep_observed(
 
     // Partition into resumable (artifact exists and parses) and pending.
     let mut results = SweepResults::new();
-    let mut sources: Vec<JobSource> = vec![JobSource::Resumed; sweep.jobs.len()];
     let mut pending: Vec<(usize, JobSpec)> = Vec::new();
     for (index, job) in sweep.jobs.iter().enumerate() {
         match opts
@@ -247,101 +251,66 @@ pub fn run_sweep_observed(
     let mut write_error: Option<io::Error> = None;
     let mut telemetry = opts.telemetry.then(|| SweepTelemetry::new(workers));
     let programs = std::sync::Arc::new(ProgramCache::new());
-    // Shared accounting for both dispatch modes: every job — locally
-    // simulated, served from the store, or completed by a remote shard
-    // — passes through here exactly once, so the progress counters (and
-    // the NDJSON stream built on them) never over- or under-count. The
-    // closure is scoped to the dispatch block so its mutable borrows
-    // end with it.
-    let job_results: Vec<(JobResult, JobTiming, JobSource, Option<String>)> = {
-        let mut account = |slot: usize,
-                           outcome: &JobResult,
-                           timing: &JobTiming,
-                           source: JobSource,
-                           origin: Option<&str>,
-                           remote: bool| {
-            progress.done += 1;
-            match (outcome.is_ok(), source) {
-                (true, JobSource::Store) => {
-                    progress.store_hits += 1;
-                    if remote {
-                        progress.remote += 1;
-                    }
-                }
-                (true, _) => progress.simulated += 1,
-                (false, _) => progress.failed += 1,
-            }
-            let job = &specs[slot];
-            if let Ok(doc) = outcome {
-                if let Err(e) = dir.write(&job.hash_hex(), doc) {
-                    write_error.get_or_insert(e);
+    // Every job — locally simulated, served from the store, or
+    // completed by a remote shard — passes through this closure exactly
+    // once, so the progress counters (and the NDJSON stream built on
+    // them) never over- or under-count. A claim without a store is
+    // ignored.
+    let store_mode = store.as_ref().map(|s| (s, opts.claim.as_ref()));
+    let job_results = run_jobs(&specs, workers, &programs, store_mode, |slot, done| {
+        let ok = done.outcome.is_ok();
+        progress.done += 1;
+        match (ok, done.source) {
+            (true, JobSource::Store) => {
+                progress.store_hits += 1;
+                if done.remote {
+                    progress.remote += 1;
                 }
             }
-            if let Some(t) = telemetry.as_mut() {
-                t.record(job.hash_hex(), job.label(), outcome.is_ok(), *timing);
-            }
-            if !opts.quiet {
-                // `store` marks a persistent-store hit; `done` a fresh
-                // simulation. (In-memory program-cache hits are not
-                // per-job events; they show in the end-of-run summary.)
-                // In claim mode a store hit carries its inserting shard:
-                // `store@<owner>` is the per-shard provenance line.
-                let state = match (outcome.is_ok(), source) {
-                    (true, JobSource::Store) => match origin {
-                        Some(owner) => format!("store@{owner}"),
-                        None => "store".to_string(),
-                    },
-                    (true, _) => "done".to_string(),
-                    (false, _) => "FAILED".to_string(),
-                };
-                let done = progress.done - skipped;
-                if opts.progress {
-                    // One status line, overwritten in place; padded so a
-                    // shorter label does not leave residue.
-                    eprint!(
-                        "\r[{done}/{total} eta {}] {state} {:<40}",
-                        eta(done, total, started),
-                        job.label()
-                    );
-                } else {
-                    eprintln!(
-                        "[{done}/{total} eta {}] {state} {}",
-                        eta(done, total, started),
-                        job.label()
-                    );
-                }
-                let _ = io::stderr().flush();
-            }
-            observer(&progress);
-        };
-        match (store.as_ref(), &opts.claim) {
-            (Some(s), Some(claim)) => {
-                run_jobs_claimed(&specs, workers, &programs, s, claim, |slot, done| {
-                    account(
-                        slot,
-                        &done.outcome,
-                        &done.timing,
-                        done.source,
-                        done.origin.as_deref(),
-                        done.remote,
-                    )
-                })
-                .into_iter()
-                .map(|c| (c.outcome, c.timing, c.source, c.origin))
-                .collect()
-            }
-            _ => run_jobs_stored(
-                &specs,
-                workers,
-                &programs,
-                store.as_ref(),
-                |slot, outcome, timing, source| account(slot, outcome, timing, source, None, false),
-            )
-            .into_iter()
-            .map(|(outcome, timing, source)| (outcome, timing, source, None))
-            .collect(),
+            (true, _) => progress.simulated += 1,
+            (false, _) => progress.failed += 1,
         }
-    };
+        let job = &specs[slot];
+        if let Ok(doc) = &done.outcome {
+            if let Err(e) = dir.write(&job.hash_hex(), doc) {
+                write_error.get_or_insert(e);
+            }
+        }
+        if let Some(t) = telemetry.as_mut() {
+            t.record(job.hash_hex(), job.label(), ok, done.timing);
+        }
+        if !opts.quiet {
+            // `store` marks a persistent-store hit; `done` a fresh
+            // simulation. (In-memory program-cache hits are not
+            // per-job events; they show in the end-of-run summary.)
+            // In claim mode a store hit carries its inserting shard:
+            // `store@<owner>` is the per-shard provenance line.
+            let state = match (ok, done.source, &done.origin) {
+                (true, JobSource::Store, Some(owner)) => format!("store@{owner}"),
+                (true, JobSource::Store, None) => "store".to_string(),
+                (true, _, _) => "done".to_string(),
+                (false, _, _) => "FAILED".to_string(),
+            };
+            let finished = progress.done - skipped;
+            if opts.progress {
+                // One status line, overwritten in place; padded so a
+                // shorter label does not leave residue.
+                eprint!(
+                    "\r[{finished}/{total} eta {}] {state} {:<40}",
+                    eta(finished, total, started),
+                    job.label()
+                );
+            } else {
+                eprintln!(
+                    "[{finished}/{total} eta {}] {state} {}",
+                    eta(finished, total, started),
+                    job.label()
+                );
+            }
+            let _ = io::stderr().flush();
+        }
+        observer(&progress);
+    });
     if !opts.quiet && opts.progress && total > 0 {
         eprintln!();
     }
@@ -372,47 +341,27 @@ pub fn run_sweep_observed(
         }
     }
 
-    // Fold fresh results in and derive per-job statuses in sweep order.
+    // Fold fresh results in, then record every job's provenance in
+    // sweep order.
     let mut failed = Vec::new();
-    let mut origins: Vec<Option<String>> = vec![None; sweep.jobs.len()];
-    for ((index, job), (outcome, _, source, origin)) in pending.iter().zip(job_results) {
-        sources[*index] = source;
-        origins[*index] = origin;
-        match outcome {
+    let mut provenance: Vec<(JobSource, Option<String>)> =
+        vec![(JobSource::Resumed, None); sweep.jobs.len()];
+    for ((index, job), done) in pending.iter().zip(job_results) {
+        provenance[*index] = (done.source, done.origin);
+        match done.outcome {
             Ok(doc) => {
                 results.insert(job.hash_hex(), doc);
             }
             Err(message) => failed.push((job.hash_hex(), job.label(), message)),
         }
     }
-    let statuses: Vec<JobStatus> = sweep
-        .jobs
-        .iter()
-        .zip(sources.iter().zip(&origins))
-        .map(|(job, (source, origin))| {
-            let hash = job.hash_hex();
-            let status = if results.contains_key(&hash) {
-                "ok"
-            } else {
-                "failed"
-            };
-            JobStatus {
-                hash,
-                label: job.label(),
-                status,
-                source: *source,
-                owner: origin.clone(),
-            }
-        })
-        .collect();
-    dir.write_manifest(
-        &ManifestInfo {
-            sweep_name: sweep.name,
-            sweep_id: &sweep_id,
-            bench_iterations: opts.bench_iterations,
-            bench_warmup: opts.bench_warmup,
-        },
-        &statuses,
+    write_sweep_manifest(
+        &dir,
+        &sweep,
+        opts.bench_iterations,
+        opts.bench_warmup,
+        &results,
+        provenance,
     )?;
 
     Ok(SweepOutcome {
@@ -425,6 +374,55 @@ pub fn run_sweep_observed(
         failed,
         results,
     })
+}
+
+/// Writes `sweep`'s manifest into `dir`: one row per job in sweep
+/// order, `ok` iff the job's artifact is in `results`, each with its
+/// `(source, owner)` from `provenance`. `sweep` is the scaled sweep
+/// that ran, and `bench_iterations`/`bench_warmup` its scaling. This is
+/// the one place a job's manifest status is derived, for [`run_sweep`]
+/// and the serve daemon's distributed submissions alike.
+///
+/// # Errors
+///
+/// Any I/O error writing `manifest.json`.
+pub fn write_sweep_manifest(
+    dir: &SweepDir,
+    sweep: &Sweep,
+    bench_iterations: Option<u64>,
+    bench_warmup: Option<u64>,
+    results: &SweepResults,
+    provenance: impl IntoIterator<Item = (JobSource, Option<String>)>,
+) -> io::Result<()> {
+    let statuses: Vec<JobStatus> = sweep
+        .jobs
+        .iter()
+        .zip(provenance)
+        .map(|(job, (source, owner))| {
+            let hash = job.hash_hex();
+            let status = if results.contains_key(&hash) {
+                "ok"
+            } else {
+                "failed"
+            };
+            JobStatus {
+                hash,
+                label: job.label(),
+                status,
+                source,
+                owner,
+            }
+        })
+        .collect();
+    dir.write_manifest(
+        &ManifestInfo {
+            sweep_name: sweep.name,
+            sweep_id: &sweep.sweep_id(),
+            bench_iterations,
+            bench_warmup,
+        },
+        &statuses,
+    )
 }
 
 /// A sweep reloaded from disk — everything `condspec report` needs to

@@ -15,7 +15,7 @@
 
 use crate::cache::ProgramCache;
 use crate::job::{JobSpec, MachinePreset, Workload, DEFAULT_BUDGET, DEFAULT_ITERATIONS};
-use crate::scheduler::run_jobs_stored;
+use crate::scheduler::run_jobs;
 use crate::JobSource;
 use condspec::{
     plan_segments, stitch_reports, DefenseConfig, FunctionalExit, LruPolicy, Report,
@@ -207,16 +207,24 @@ pub fn run_sampled_bench(
     let segments = plan_segments(total_insts, spec.checkpoints);
 
     let jobs: Vec<JobSpec> = (0..segments.len()).map(|i| spec.window_job(i)).collect();
-    let results = run_jobs_stored(&jobs, workers, &programs, store, |_, _, _, _| {});
+    let results = run_jobs(
+        &jobs,
+        workers,
+        &programs,
+        store.map(|s| (s, None)),
+        |_, _| {},
+    );
 
     let mut windows = Vec::with_capacity(results.len());
     let (mut executed, mut store_hits) = (0usize, 0usize);
-    for (index, (outcome, _, source)) in results.into_iter().enumerate() {
-        match source {
+    for (index, done) in results.into_iter().enumerate() {
+        match done.source {
             JobSource::Store => store_hits += 1,
             _ => executed += 1,
         }
-        let doc = outcome.map_err(|e| format!("window {index} failed: {e}"))?;
+        let doc = done
+            .outcome
+            .map_err(|e| format!("window {index} failed: {e}"))?;
         let artifact_total = window_field(&doc, "total_insts", index)?;
         if artifact_total != total_insts {
             return Err(format!(

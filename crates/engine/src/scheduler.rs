@@ -1,23 +1,30 @@
 //! The worker pool: deterministic-result parallel job execution on
-//! `std::thread` with per-job panic isolation.
+//! `std::thread` with per-job panic isolation. [`run_jobs`] is the one
+//! entry point and drives one worker loop for every caller.
 //!
 //! Workers pull jobs from a shared cursor (cheap work stealing: whoever
 //! is free claims the next index with one `fetch_add`, no lock, no
 //! queue to build), run each inside `catch_unwind`, and stream
-//! `(index, result)` pairs back over an `mpsc` channel. The caller
+//! `(index, JobDone)` pairs back over an `mpsc` channel. The caller
 //! reassembles results *by index*, so the output order — and therefore
 //! everything derived from it — is independent of how many workers ran
 //! or how the OS interleaved them. Only scheduling varies with
 //! `workers`; results never do.
 //!
-//! When a persistent [`ResultStore`] is supplied
-//! ([`run_jobs_stored`]), each worker consults it before simulating:
-//! a valid entry under the job's store key is returned as-is (tagged
-//! [`JobSource::Store`]), and every freshly simulated success is
-//! inserted back — best-effort, since a read-only or full store must
-//! never fail a sweep. Store entries hold exactly the artifact the job
-//! would have produced, so a store hit is byte-identical to a
-//! simulation.
+//! The `store` argument picks how much of the persistent
+//! [`ResultStore`] the loop uses:
+//!
+//! * none — every job is simulated;
+//! * a store — each worker looks the job up before simulating (a valid
+//!   entry is returned as-is, tagged [`JobSource::Store`]) and inserts
+//!   every fresh success afterwards, best-effort, since a read-only or
+//!   full store must never fail a sweep;
+//! * a store and a [`ClaimOptions`] — each worker also takes the job's
+//!   lease before simulating, so pools in other processes sharing the
+//!   store root complete the same job list exactly once.
+//!
+//! Store entries hold exactly the artifact the job would have produced,
+//! so a store hit is byte-identical to a simulation.
 
 use crate::artifact::JobSource;
 use crate::cache::{ProgramCache, WorkerContext};
@@ -68,152 +75,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `jobs` on `workers` threads and returns one [`JobResult`] per
-/// job, in input order. `on_done(index, result)` fires on the calling
-/// thread as each job finishes (completion order), for progress
-/// reporting and incremental artifact writes.
-///
-/// A panicking job is caught, converted to `Err(message)`, and does not
-/// disturb any other job: the worker that caught it moves on to the
-/// next queue entry.
-pub fn run_jobs(
-    jobs: &[JobSpec],
-    workers: usize,
-    mut on_done: impl FnMut(usize, &JobResult),
-) -> Vec<JobResult> {
-    run_jobs_timed(jobs, workers, |index, outcome, _| on_done(index, outcome))
-        .into_iter()
-        .map(|(outcome, _)| outcome)
-        .collect()
-}
-
-/// [`run_jobs`] plus per-job wall-clock telemetry: each result carries
-/// the [`JobTiming`] of its execution, and `on_done` additionally
-/// receives the timing. Results (and their order) are exactly what
-/// [`run_jobs`] produces — only the timings vary run to run.
-pub fn run_jobs_timed(
-    jobs: &[JobSpec],
-    workers: usize,
-    on_done: impl FnMut(usize, &JobResult, &JobTiming),
-) -> Vec<(JobResult, JobTiming)> {
-    run_jobs_cached(jobs, workers, &Arc::new(ProgramCache::new()), on_done)
-}
-
-/// [`run_jobs_timed`] with cross-job reuse wired through: every worker
-/// fetches benchmark programs from the shared `programs` cache and
-/// keeps its simulator resident between jobs (reset in place when the
-/// next job's configuration matches). The caller owns the cache and can
-/// read its build/hit counters after the pool drains.
-///
-/// Reuse never leaks between jobs: a job that panics poisons only the
-/// worker's resident simulator, which is discarded before that worker
-/// claims its next job. Results are exactly what [`run_jobs_timed`]
-/// produces.
-pub fn run_jobs_cached(
-    jobs: &[JobSpec],
-    workers: usize,
-    programs: &Arc<ProgramCache>,
-    mut on_done: impl FnMut(usize, &JobResult, &JobTiming),
-) -> Vec<(JobResult, JobTiming)> {
-    run_jobs_stored(
-        jobs,
-        workers,
-        programs,
-        None,
-        |index, outcome, timing, _| on_done(index, outcome, timing),
-    )
-    .into_iter()
-    .map(|(outcome, timing, _)| (outcome, timing))
-    .collect()
-}
-
-/// [`run_jobs_cached`] plus the persistent result store: when `store`
-/// is given, each worker looks the job up by [`JobSpec::store_key`]
-/// before simulating and inserts every fresh success afterwards.
-/// `on_done` (and each returned triple) additionally carries the
-/// [`JobSource`] — [`JobSource::Store`] for a store hit,
-/// [`JobSource::Simulated`] otherwise (including failures, which are
-/// never stored). Store I/O errors on insert are swallowed: the
-/// simulation already succeeded, and a read-only store must not fail
-/// the sweep.
-pub fn run_jobs_stored(
-    jobs: &[JobSpec],
-    workers: usize,
-    programs: &Arc<ProgramCache>,
-    store: Option<&ResultStore>,
-    mut on_done: impl FnMut(usize, &JobResult, &JobTiming, JobSource),
-) -> Vec<(JobResult, JobTiming, JobSource)> {
-    let workers = workers.max(1).min(jobs.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, JobResult, JobTiming, JobSource)>();
-    let started = Instant::now();
-
-    let mut results: Vec<Option<(JobResult, JobTiming, JobSource)>> =
-        (0..jobs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let mut ctx = WorkerContext::new(Arc::clone(programs));
-            scope.spawn(move || loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = jobs.get(index) else { break };
-                let queue_wait_ms = started.elapsed().as_millis() as u64;
-                let job_started = Instant::now();
-                let stored = store.and_then(|s| s.load(&spec.store_key()));
-                let (outcome, source) = match stored {
-                    Some(doc) => (Ok(doc), JobSource::Store),
-                    None => {
-                        let outcome =
-                            catch_unwind(AssertUnwindSafe(|| spec.execute_with(&mut ctx)))
-                                .map_err(panic_message);
-                        match (&outcome, store) {
-                            (Ok(doc), Some(s)) => {
-                                // Best-effort: a store that cannot be
-                                // written to (read-only, disk full)
-                                // must not fail the job it just ran.
-                                let _ = s.insert(
-                                    &spec.store_key(),
-                                    &spec.hash_hex(),
-                                    &spec.label(),
-                                    crate::hash::code_fingerprint(),
-                                    doc,
-                                );
-                            }
-                            (Err(_), _) => {
-                                // The simulator may have unwound
-                                // mid-cycle; never reuse it for the
-                                // next job.
-                                ctx.discard_simulator();
-                            }
-                            _ => {}
-                        }
-                        (outcome, JobSource::Simulated)
-                    }
-                };
-                let timing = JobTiming {
-                    worker,
-                    queue_wait_ms,
-                    wall_ms: job_started.elapsed().as_millis() as u64,
-                };
-                if tx.send((index, outcome, timing, source)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (index, outcome, timing, source) in rx {
-            on_done(index, &outcome, &timing, source);
-            results[index] = Some((outcome, timing, source));
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every job reports exactly once"))
-        .collect()
-}
-
 /// How a claim-mode pool identifies itself and judges other owners.
+/// Its heartbeat and busy-job poll intervals both derive from
+/// `steal_after`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClaimOptions {
     /// This process's owner id, recorded in every lease and insert it
@@ -222,18 +86,14 @@ pub struct ClaimOptions {
     /// Time without a heartbeat after which another owner's lease is
     /// presumed orphaned and stolen.
     pub steal_after: Duration,
-    /// How long to sleep between re-checks of jobs held by live owners.
-    pub poll: Duration,
 }
 
 impl ClaimOptions {
-    /// Options for `owner` with the default steal timeout and poll
-    /// interval.
+    /// Options for `owner` with the default steal timeout.
     pub fn new(owner: impl Into<String>) -> ClaimOptions {
         ClaimOptions {
             owner: owner.into(),
             steal_after: condspec_store::DEFAULT_STEAL_TIMEOUT,
-            poll: Duration::from_millis(50),
         }
     }
 
@@ -244,206 +104,136 @@ impl ClaimOptions {
     }
 }
 
-impl Default for ClaimOptions {
-    fn default() -> ClaimOptions {
-        ClaimOptions::new(ClaimOptions::default_owner())
-    }
-}
-
-/// One job's outcome under claim-based draining ([`run_jobs_claimed`]).
+/// One job's outcome from [`run_jobs`].
 #[derive(Debug, Clone)]
-pub struct ClaimedJob {
+pub struct JobDone {
     /// The artifact document, or the failure message.
     pub outcome: JobResult,
     /// Wall-clock telemetry (for store-resolved jobs, the time spent
-    /// waiting and loading, not simulating).
+    /// looking up — and under a claim, waiting — not simulating).
     pub timing: JobTiming,
-    /// [`JobSource::Simulated`] when this pool ran the job,
-    /// [`JobSource::Store`] when the result came from the store.
+    /// [`JobSource::Store`] for a store hit, [`JobSource::Simulated`]
+    /// when this pool ran the job (including failures, which are never
+    /// stored).
     pub source: JobSource,
-    /// The owner id that simulated the job, when known: ours for local
-    /// simulations, the inserting shard's for store hits (absent for
-    /// entries written outside the claim protocol).
+    /// Under a claim, the owner id that simulated the job: ours for
+    /// local simulations, the inserting shard's for store hits (absent
+    /// for entries written outside the claim protocol). Always `None`
+    /// without a claim.
     pub origin: Option<String>,
-    /// True when the store result was inserted by a different owner
-    /// than this pool — another shard (or an earlier run under another
-    /// owner id) did the simulating. Always false for local
-    /// simulations.
+    /// True when a store hit under a claim was inserted by a different
+    /// owner than this pool: another shard (or an earlier run under
+    /// another owner id) did the simulating.
     pub remote: bool,
 }
 
-/// Claim-based draining: the distributed generalization of
-/// [`run_jobs_stored`]'s cursor loop. Any number of pools — in other
-/// processes or on other hosts sharing the store root — run this over
-/// the same job list and cooperatively complete it exactly once:
+/// Runs `jobs` on `workers` threads and returns one [`JobDone`] per
+/// job, in input order. `on_done(index, done)` fires on the calling
+/// thread as each job finishes (completion order), for progress
+/// reporting and incremental artifact writes.
+///
+/// Every worker fetches benchmark programs from the shared `programs`
+/// cache (the caller reads its build/hit counters after the pool
+/// drains) and keeps its simulator resident between jobs, reset in
+/// place when the next job's configuration matches. A panicking job is
+/// caught and converted to `Err(message)`; it poisons only its worker's
+/// resident simulator, which is discarded before that worker takes its
+/// next job.
+///
+/// `store` is `None` to simulate every job, `Some((store, None))` to
+/// consult and fill the persistent result store (exactly one store
+/// load per job), or `Some((store, Some(claim)))` for claim-based
+/// draining. Under a claim any number of pools — in other processes or
+/// on other hosts sharing the store root — run this over the same job
+/// list and cooperatively complete it exactly once:
 ///
 /// 1. a store hit resolves the job immediately;
-/// 2. otherwise the worker claims the job's lease (stealing stale
-///    ones), simulates, inserts with its owner id and releases;
-/// 3. jobs leased by a live owner are deferred, then polled until
-///    their result appears in the store (remote completion) or their
-///    lease goes stale and is stolen (remote death).
+/// 2. otherwise the worker claims the job's lease (stealing a stale
+///    one), re-checks the store, simulates, and inserts with its owner
+///    id, which releases the lease; a failed job releases it directly;
+/// 3. a job leased by a live owner is deferred, then polled until its
+///    result appears in the store (remote completion) or its lease
+///    goes stale and is stolen (remote death).
 ///
-/// A background thread heartbeats every lease this pool holds at a
-/// quarter of `claim.steal_after`, so long simulations are never
-/// mistaken for dead owners. Results are returned in input order and
-/// are byte-identical to a solo [`run_jobs_stored`] run; only the
-/// `timing`/`origin`/`remote` annotations vary with scheduling.
-pub fn run_jobs_claimed(
+/// Only claim mode starts the background thread that heartbeats every
+/// lease this pool holds at a quarter of `claim.steal_after`, so long
+/// simulations are never mistaken for dead owners. Results are the same
+/// in every mode; only the `timing`/`source`/`origin`/`remote`
+/// annotations vary with store warmth and scheduling.
+pub fn run_jobs(
     jobs: &[JobSpec],
     workers: usize,
     programs: &Arc<ProgramCache>,
-    store: &ResultStore,
-    claim: &ClaimOptions,
-    mut on_done: impl FnMut(usize, &ClaimedJob),
-) -> Vec<ClaimedJob> {
+    store: Option<(&ResultStore, Option<&ClaimOptions>)>,
+    mut on_done: impl FnMut(usize, &JobDone),
+) -> Vec<JobDone> {
     let workers = workers.max(1).min(jobs.len().max(1));
+    let claim = store.and_then(|(_, claim)| claim);
+    let store = store.map(|(store, _)| store);
     let cursor = AtomicUsize::new(0);
+    // Jobs whose lease a live owner holds; only claim mode fills it.
     let deferred: Mutex<VecDeque<usize>> = Mutex::new(VecDeque::new());
+    // The lease each worker is simulating under, for the heartbeat.
     let held: Vec<Mutex<Option<String>>> = (0..workers).map(|_| Mutex::new(None)).collect();
     let stop = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<(usize, ClaimedJob)>();
+    let (tx, rx) = mpsc::channel::<(usize, JobDone)>();
     let started = Instant::now();
 
-    let mut results: Vec<Option<ClaimedJob>> = (0..jobs.len()).map(|_| None).collect();
+    let mut results: Vec<Option<JobDone>> = (0..jobs.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
-        // Heartbeat thread: renews every lease a worker currently holds
-        // so a long simulation is never stolen from a live pool.
-        {
-            let held = &held;
-            let stop = &stop;
-            let beat =
-                (claim.steal_after / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
-            let owner = claim.owner.clone();
-            scope.spawn(move || {
-                let tick = Duration::from_millis(10).min(beat);
-                let mut since_beat = Duration::ZERO;
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick);
-                    since_beat += tick;
-                    if since_beat < beat {
-                        continue;
-                    }
-                    since_beat = Duration::ZERO;
-                    for slot in held {
-                        let key = slot.lock().expect("heartbeat slot").clone();
-                        if let Some(key) = key {
-                            let _ = store.heartbeat(&key, &owner);
-                        }
-                    }
-                }
-            });
+        if let (Some(store), Some(claim)) = (store, claim) {
+            let (held, stop) = (&held, &stop);
+            scope.spawn(move || heartbeat(store, claim, held, stop));
         }
-        for worker in 0..workers {
+        for (worker, held) in held.iter().enumerate() {
             let tx = tx.clone();
-            let cursor = &cursor;
-            let deferred = &deferred;
-            let held = &held;
-            let claim = &claim;
+            let (cursor, deferred) = (&cursor, &deferred);
             let mut ctx = WorkerContext::new(Arc::clone(programs));
             scope.spawn(move || {
-                let resolve = |index: usize, ctx: &mut WorkerContext| {
-                    let spec = &jobs[index];
-                    let key = spec.store_key();
+                // The cursor first, then the deferred jobs until each
+                // resolves; `true` marks a re-check.
+                let next = || match cursor.fetch_add(1, Ordering::Relaxed) {
+                    index if index < jobs.len() => Some((index, false)),
+                    _ => deferred
+                        .lock()
+                        .expect("deferred queue")
+                        .pop_front()
+                        .map(|index| (index, true)),
+                };
+                while let Some((index, recheck)) = next() {
                     let queue_wait_ms = started.elapsed().as_millis() as u64;
                     let job_started = Instant::now();
-                    let timing = |job_started: Instant| JobTiming {
-                        worker,
-                        queue_wait_ms,
-                        wall_ms: job_started.elapsed().as_millis() as u64,
+                    let Some((outcome, source, origin)) =
+                        resolve(&jobs[index], store, claim, held, &mut ctx)
+                    else {
+                        deferred.lock().expect("deferred queue").push_back(index);
+                        if let (true, Some(claim)) = (recheck, claim) {
+                            // Only a live owner can finish this job:
+                            // back off before the next re-check.
+                            let poll = (claim.steal_after / 4)
+                                .clamp(Duration::from_millis(10), Duration::from_millis(50));
+                            std::thread::sleep(poll);
+                        }
+                        continue;
                     };
-                    if let Some((doc, origin)) = store.load_with_origin(&key) {
-                        let remote = origin.as_deref().is_some_and(|o| o != claim.owner);
-                        return Some(ClaimedJob {
-                            outcome: Ok(doc),
-                            timing: timing(job_started),
-                            source: JobSource::Store,
-                            origin,
-                            remote,
-                        });
-                    }
-                    match store.try_claim(&key, &claim.owner, claim.steal_after) {
-                        Ok(ClaimStatus::Acquired) | Ok(ClaimStatus::Stolen) => {}
-                        Ok(ClaimStatus::Busy { .. }) => return None,
-                        // A store root we cannot even write leases to:
-                        // fall through and simulate unclaimed rather
-                        // than wedge the sweep (inserts are idempotent).
-                        Err(_) => {}
-                    }
-                    // The previous holder may have inserted just before
-                    // releasing; re-check now that we hold the lease.
-                    if let Some((doc, origin)) = store.load_with_origin(&key) {
-                        let _ = store.release(&key, &claim.owner);
-                        let remote = origin.as_deref().is_some_and(|o| o != claim.owner);
-                        return Some(ClaimedJob {
-                            outcome: Ok(doc),
-                            timing: timing(job_started),
-                            source: JobSource::Store,
-                            origin,
-                            remote,
-                        });
-                    }
-                    *held[worker].lock().expect("held slot") = Some(key.clone());
-                    let outcome = catch_unwind(AssertUnwindSafe(|| spec.execute_with(ctx)))
-                        .map_err(panic_message);
-                    *held[worker].lock().expect("held slot") = None;
-                    match &outcome {
-                        Ok(doc) => {
-                            // Best-effort, like run_jobs_stored: a
-                            // read-only store must not fail the job.
-                            let _ = store.insert_claimed(
-                                &key,
-                                &spec.hash_hex(),
-                                &spec.label(),
-                                crate::hash::code_fingerprint(),
-                                doc,
-                                &claim.owner,
-                            );
-                        }
-                        Err(_) => {
-                            ctx.discard_simulator();
-                            let _ = store.release(&key, &claim.owner);
-                        }
-                    }
-                    Some(ClaimedJob {
+                    let remote = source == JobSource::Store
+                        && origin
+                            .as_deref()
+                            .zip(claim)
+                            .is_some_and(|(origin, claim)| origin != claim.owner);
+                    let done = JobDone {
                         outcome,
-                        timing: timing(job_started),
-                        source: JobSource::Simulated,
-                        origin: Some(claim.owner.clone()),
-                        remote: false,
-                    })
-                };
-                // Phase 1: drain the cursor, deferring live-leased jobs.
-                loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= jobs.len() {
+                        timing: JobTiming {
+                            worker,
+                            queue_wait_ms,
+                            wall_ms: job_started.elapsed().as_millis() as u64,
+                        },
+                        source,
+                        origin,
+                        remote,
+                    };
+                    if tx.send((index, done)).is_err() {
                         break;
-                    }
-                    match resolve(index, &mut ctx) {
-                        Some(done) => {
-                            if tx.send((index, done)).is_err() {
-                                return;
-                            }
-                        }
-                        None => deferred.lock().expect("deferred queue").push_back(index),
-                    }
-                }
-                // Phase 2: poll deferred jobs until each resolves — the
-                // remote owner inserts (store hit) or dies (its lease
-                // goes stale and is stolen here).
-                loop {
-                    let index = deferred.lock().expect("deferred queue").pop_front();
-                    let Some(index) = index else { break };
-                    match resolve(index, &mut ctx) {
-                        Some(done) => {
-                            if tx.send((index, done)).is_err() {
-                                return;
-                            }
-                        }
-                        None => {
-                            deferred.lock().expect("deferred queue").push_back(index);
-                            std::thread::sleep(claim.poll);
-                        }
                     }
                 }
             });
@@ -461,11 +251,107 @@ pub fn run_jobs_claimed(
         .collect()
 }
 
+/// Resolves one job on a worker: a store hit or a fresh simulation,
+/// with its origin under a claim. `None` means a live owner holds the
+/// job's lease and the job must be deferred (claim mode only).
+fn resolve(
+    spec: &JobSpec,
+    store: Option<&ResultStore>,
+    claim: Option<&ClaimOptions>,
+    held: &Mutex<Option<String>>,
+    ctx: &mut WorkerContext,
+) -> Option<(JobResult, JobSource, Option<String>)> {
+    let keyed = store.map(|store| (store, spec.store_key()));
+    if let Some((store, key)) = &keyed {
+        if let Some((doc, origin)) = store.load_with_origin(key) {
+            return Some((Ok(doc), JobSource::Store, claim.and(origin)));
+        }
+        if let Some(claim) = claim {
+            // A store root we cannot even write leases to (`Err`) falls
+            // through and simulates unclaimed rather than wedge the
+            // sweep: inserts are idempotent.
+            if let Ok(ClaimStatus::Busy { .. }) =
+                store.try_claim(key, &claim.owner, claim.steal_after)
+            {
+                return None;
+            }
+            // The previous holder may have inserted just before
+            // releasing; re-check now that we hold the lease.
+            if let Some((doc, origin)) = store.load_with_origin(key) {
+                let _ = store.release(key, &claim.owner);
+                return Some((Ok(doc), JobSource::Store, origin));
+            }
+            *held.lock().expect("held slot") = Some(key.clone());
+        }
+    }
+    let outcome = catch_unwind(AssertUnwindSafe(|| spec.execute_with(ctx))).map_err(panic_message);
+    if claim.is_some() {
+        *held.lock().expect("held slot") = None;
+    }
+    match (&outcome, &keyed) {
+        (Ok(doc), Some((store, key))) => {
+            // Best-effort: a store that cannot be written to (read-only,
+            // disk full) must not fail the job it just ran.
+            let (hash, label) = (spec.hash_hex(), spec.label());
+            let fingerprint = crate::hash::code_fingerprint();
+            let _ = match claim {
+                Some(claim) => {
+                    store.insert_claimed(key, &hash, &label, fingerprint, doc, &claim.owner)
+                }
+                None => store.insert(key, &hash, &label, fingerprint, doc),
+            };
+        }
+        (Err(_), keyed) => {
+            // The simulator may have unwound mid-cycle; never reuse it
+            // for the next job.
+            ctx.discard_simulator();
+            if let (Some((store, key)), Some(claim)) = (keyed, claim) {
+                let _ = store.release(key, &claim.owner);
+            }
+        }
+        _ => {}
+    }
+    Some((
+        outcome,
+        JobSource::Simulated,
+        claim.map(|c| c.owner.clone()),
+    ))
+}
+
+/// Renews every lease a worker currently holds, every quarter of the
+/// steal timeout, until `stop`: a long simulation is never stolen from
+/// a live pool.
+fn heartbeat(
+    store: &ResultStore,
+    claim: &ClaimOptions,
+    held: &[Mutex<Option<String>>],
+    stop: &AtomicBool,
+) {
+    let beat = (claim.steal_after / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
+    let tick = Duration::from_millis(10);
+    let mut since_beat = Duration::ZERO;
+    while !stop.load(Ordering::Relaxed) {
+        std::thread::sleep(tick);
+        since_beat += tick;
+        if since_beat < beat {
+            continue;
+        }
+        since_beat = Duration::ZERO;
+        for slot in held {
+            let key = slot.lock().expect("heartbeat slot").clone();
+            if let Some(key) = key {
+                let _ = store.heartbeat(&key, &claim.owner);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::Workload;
     use condspec::DefenseConfig;
+    use std::path::PathBuf;
 
     fn tiny_job(benchmark: &'static str) -> JobSpec {
         let mut j = JobSpec::bench(benchmark, DefenseConfig::Origin);
@@ -479,15 +365,48 @@ mod tests {
         j
     }
 
+    /// A job that cannot halt in its 10-cycle budget: `run_to_halt`
+    /// panics.
+    fn panicking_job() -> JobSpec {
+        let mut bad = tiny_job("gcc");
+        bad.budget = 10;
+        bad
+    }
+
+    /// An empty store under the temp directory; the caller removes the
+    /// returned root.
+    fn scratch_store(tag: &str) -> (PathBuf, ResultStore) {
+        let root =
+            std::env::temp_dir().join(format!("condspec-scheduler-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let store = ResultStore::open(&root);
+        (root, store)
+    }
+
+    /// `run_jobs` with a fresh program cache and no store, reduced to
+    /// the outcomes.
+    fn outcomes(jobs: &[JobSpec], workers: usize) -> Vec<JobResult> {
+        run_jobs(
+            jobs,
+            workers,
+            &Arc::new(ProgramCache::new()),
+            None,
+            |_, _| {},
+        )
+        .into_iter()
+        .map(|done| done.outcome)
+        .collect()
+    }
+
     #[test]
     fn results_are_in_input_order_for_any_worker_count() {
         let jobs = vec![tiny_job("gcc"), tiny_job("mcf"), tiny_job("lbm")];
-        let reference: Vec<String> = run_jobs(&jobs, 1, |_, _| {})
+        let reference: Vec<String> = outcomes(&jobs, 1)
             .into_iter()
             .map(|r| r.expect("tiny jobs halt").render())
             .collect();
         for workers in [2, 8] {
-            let got: Vec<String> = run_jobs(&jobs, workers, |_, _| {})
+            let got: Vec<String> = outcomes(&jobs, workers)
                 .into_iter()
                 .map(|r| r.expect("tiny jobs halt").render())
                 .collect();
@@ -497,22 +416,32 @@ mod tests {
 
     #[test]
     fn a_panicking_job_is_isolated() {
-        let mut bad = tiny_job("gcc");
-        bad.budget = 10; // cannot halt in 10 cycles -> run_to_halt panics
-        let jobs = vec![tiny_job("mcf"), bad, tiny_job("lbm")];
-        let mut done = 0;
-        let results = run_jobs(&jobs, 2, |_, _| done += 1);
-        assert_eq!(done, 3);
-        assert!(results[0].is_ok());
-        assert!(results[1]
-            .as_ref()
-            .is_err_and(|e| e.contains("did not halt")));
-        assert!(results[2].is_ok());
+        let (root, store) = scratch_store("isolated");
+        let claim = ClaimOptions::new("isolated");
+        let jobs = vec![tiny_job("mcf"), panicking_job(), tiny_job("lbm")];
+        for mode in [None, Some((&store, Some(&claim)))] {
+            let mut done = 0;
+            let programs = Arc::new(ProgramCache::new());
+            let results = run_jobs(&jobs, 2, &programs, mode, |_, _| done += 1);
+            assert_eq!(done, 3);
+            assert!(results[0].outcome.is_ok());
+            assert!(results[1]
+                .outcome
+                .as_ref()
+                .is_err_and(|e| e.contains("did not halt")));
+            assert!(results[2].outcome.is_ok());
+        }
+        // Under the claim: both successes were inserted, the failure was
+        // not, and its lease was released.
+        assert_eq!(store.inserts(), 2);
+        assert_eq!(store.load(&jobs[1].store_key()), None);
+        assert!(store.leases().expect("lease listing").is_empty());
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn empty_job_list_is_fine() {
-        assert!(run_jobs(&[], 4, |_, _| {}).is_empty());
+        assert!(outcomes(&[], 4).is_empty());
     }
 
     #[test]
@@ -529,9 +458,9 @@ mod tests {
         let solo: Vec<String> = jobs.iter().map(|j| j.execute().render()).collect();
 
         let programs = Arc::new(ProgramCache::new());
-        let pooled: Vec<String> = run_jobs_cached(&jobs, 1, &programs, |_, _, _| {})
+        let pooled: Vec<String> = run_jobs(&jobs, 1, &programs, None, |_, _| {})
             .into_iter()
-            .map(|(r, _)| r.expect("tiny jobs halt").render())
+            .map(|done| done.outcome.expect("tiny jobs halt").render())
             .collect();
         assert_eq!(pooled, solo, "reuse must not change any artifact");
 
@@ -546,64 +475,74 @@ mod tests {
         // One worker, so the job after the panic necessarily runs on
         // the same worker — its mid-unwind simulator must be discarded,
         // not reset and reused.
-        let mut bad = tiny_job("gcc");
-        bad.budget = 10;
-        let jobs = vec![tiny_job("gcc"), bad, tiny_job("gcc")];
+        let (root, store) = scratch_store("poison");
+        let claim = ClaimOptions::new("poison");
+        let jobs = vec![tiny_job("gcc"), panicking_job(), tiny_job("gcc")];
         let expected = jobs[2].execute().render();
-        let results = run_jobs(&jobs, 1, |_, _| {});
-        assert!(results[1].is_err());
-        assert_eq!(
-            results[2].as_ref().expect("job after panic halts").render(),
-            expected
-        );
+        for mode in [None, Some((&store, Some(&claim)))] {
+            let programs = Arc::new(ProgramCache::new());
+            let results = run_jobs(&jobs, 1, &programs, mode, |_, _| {});
+            assert!(results[1].outcome.is_err());
+            assert_eq!(
+                results[2]
+                    .outcome
+                    .as_ref()
+                    .expect("job after panic halts")
+                    .render(),
+                expected
+            );
+        }
+        assert_eq!(store.load(&jobs[1].store_key()), None);
+        assert!(store.leases().expect("lease listing").is_empty());
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn warm_store_serves_identical_results_and_skips_failures() {
-        let root =
-            std::env::temp_dir().join(format!("condspec-scheduler-store-{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
-        let store = ResultStore::open(&root);
-        let mut bad = tiny_job("gcc");
-        bad.budget = 10; // panics; must not be inserted into the store
-        let jobs = vec![tiny_job("gcc"), bad, tiny_job("mcf")];
+        let (root, store) = scratch_store("store");
+        let jobs = vec![tiny_job("gcc"), panicking_job(), tiny_job("mcf")];
 
         let programs = Arc::new(ProgramCache::new());
-        let cold = run_jobs_stored(&jobs, 2, &programs, Some(&store), |_, _, _, source| {
-            assert_eq!(source, JobSource::Simulated, "cold store simulates");
+        let cold = run_jobs(&jobs, 2, &programs, Some((&store, None)), |_, done| {
+            assert_eq!(done.source, JobSource::Simulated, "cold store simulates");
         });
         assert_eq!(store.hits(), 0);
         assert_eq!(store.inserts(), 2, "only successes are stored");
 
-        let warm = run_jobs_stored(&jobs, 2, &programs, Some(&store), |_, _, _, _| {});
+        let warm = run_jobs(&jobs, 2, &programs, Some((&store, None)), |_, _| {});
         assert_eq!(store.hits(), 2, "both successes hit on the second run");
-        assert_eq!(warm[0].2, JobSource::Store);
-        assert_eq!(warm[1].2, JobSource::Simulated, "the failure re-runs");
-        assert_eq!(warm[2].2, JobSource::Store);
-        for ((cold_result, _, _), (warm_result, _, _)) in cold.iter().zip(&warm) {
+        assert_eq!(warm[0].source, JobSource::Store);
+        assert_eq!(warm[1].source, JobSource::Simulated, "the failure re-runs");
+        assert_eq!(warm[2].source, JobSource::Store);
+        for (cold, warm) in cold.iter().zip(&warm) {
             assert_eq!(
-                cold_result.as_ref().map(Json::render).ok(),
-                warm_result.as_ref().map(Json::render).ok(),
+                cold.outcome.as_ref().map(Json::render).ok(),
+                warm.outcome.as_ref().map(Json::render).ok(),
                 "a store hit is byte-identical to the simulation"
             );
+            // Without a claim there is no provenance and no lease.
+            assert_eq!((&warm.origin, warm.remote), (&None, false));
         }
+        assert!(store.leases().expect("lease listing").is_empty());
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn timed_runs_report_plausible_telemetry() {
         let jobs = vec![tiny_job("gcc"), tiny_job("mcf"), tiny_job("lbm")];
-        let timed = run_jobs_timed(&jobs, 2, |_, outcome, timing| {
-            assert!(outcome.is_ok());
-            assert!(timing.worker < 2);
+        let mut reported = vec![None; jobs.len()];
+        let programs = Arc::new(ProgramCache::new());
+        let results = run_jobs(&jobs, 2, &programs, None, |index, done| {
+            assert!(done.outcome.is_ok());
+            assert!(done.timing.worker < 2);
+            reported[index] = Some(done.timing);
         });
-        assert_eq!(timed.len(), 3);
-        // Same results as the untimed API, in the same order.
-        let plain = run_jobs(&jobs, 2, |_, _| {});
-        for ((timed_result, _), plain_result) in timed.iter().zip(&plain) {
+        assert_eq!(results.len(), 3);
+        for (done, reported) in results.iter().zip(reported) {
             assert_eq!(
-                timed_result.as_ref().map(Json::render),
-                plain_result.as_ref().map(Json::render)
+                Some(done.timing),
+                reported,
+                "on_done saw the returned timing"
             );
         }
     }

@@ -8,8 +8,8 @@
 
 use condspec::DefenseConfig;
 use condspec_engine::{
-    load_sweep_report_with_store, run_jobs_claimed, run_sweep, run_sweep_observed, ClaimOptions,
-    JobSource, JobSpec, ProgramCache, ResultStore, Sweep, SweepOptions, Workload,
+    load_sweep_report_with_store, run_jobs, run_sweep, run_sweep_observed, ClaimOptions, JobSource,
+    JobSpec, ProgramCache, ResultStore, Sweep, SweepOptions, Workload,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -259,23 +259,23 @@ fn two_pools_racing_one_store_split_the_work_without_duplicates() {
         let jobs = &sweep.jobs;
         let a = scope.spawn(|| {
             let programs = Arc::new(ProgramCache::new());
-            run_jobs_claimed(
+            let claim = ClaimOptions::new("shard-a");
+            run_jobs(
                 jobs,
                 1,
                 &programs,
-                &store_a,
-                &ClaimOptions::new("shard-a"),
+                Some((&store_a, Some(&claim))),
                 |_, _| {},
             )
         });
         let b = scope.spawn(|| {
             let programs = Arc::new(ProgramCache::new());
-            run_jobs_claimed(
+            let claim = ClaimOptions::new("shard-b");
+            run_jobs(
                 jobs,
                 1,
                 &programs,
-                &store_b,
-                &ClaimOptions::new("shard-b"),
+                Some((&store_b, Some(&claim))),
                 |_, _| {},
             )
         });
@@ -296,12 +296,12 @@ fn two_pools_racing_one_store_split_the_work_without_duplicates() {
     // documents are identical to an uncontended solo run.
     let solo_store = ResultStore::open(&solo_root);
     let programs = Arc::new(ProgramCache::new());
-    let solo = run_jobs_claimed(
+    let solo_claim = ClaimOptions::new("solo");
+    let solo = run_jobs(
         &sweep.jobs,
         2,
         &programs,
-        &solo_store,
-        &ClaimOptions::new("solo"),
+        Some((&solo_store, Some(&solo_claim))),
         |_, _| {},
     );
     for (index, reference) in solo.iter().enumerate() {
@@ -320,7 +320,7 @@ fn two_pools_racing_one_store_split_the_work_without_duplicates() {
         assert_eq!(origin_a, origin_b);
         assert!(matches!(origin_a, "shard-a" | "shard-b"));
     }
-    let simulated = |results: &[condspec_engine::ClaimedJob]| -> usize {
+    let simulated = |results: &[condspec_engine::JobDone]| -> usize {
         results
             .iter()
             .filter(|r| r.source == JobSource::Simulated)
@@ -358,10 +358,15 @@ fn a_dead_owners_leases_are_stolen_and_the_sweep_completes() {
     let programs = Arc::new(ProgramCache::new());
     let claim = ClaimOptions {
         steal_after: Duration::from_millis(50),
-        poll: Duration::from_millis(10),
         ..ClaimOptions::new("live-worker")
     };
-    let results = run_jobs_claimed(&sweep.jobs, 2, &programs, &live, &claim, |_, _| {});
+    let results = run_jobs(
+        &sweep.jobs,
+        2,
+        &programs,
+        Some((&live, Some(&claim))),
+        |_, _| {},
+    );
 
     assert!(live.steals() >= 1, "the stale leases were stolen");
     assert_eq!(live.inserts(), sweep.jobs.len() as u64);

@@ -510,14 +510,17 @@ fn run_job(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Request) 
     };
     let store = state.store_root.as_deref().map(ResultStore::open);
     let programs = Arc::new(ProgramCache::new());
-    let mut results = condspec_engine::run_jobs_stored(
+    let store_mode = store.as_ref().map(|s| (s, None));
+    let mut results = condspec_engine::run_jobs(
         std::slice::from_ref(&job),
         1,
         &programs,
-        store.as_ref(),
-        |_, _, _, _| {},
+        store_mode,
+        |_, _| {},
     );
-    let (outcome, _, source) = results.remove(0);
+    let condspec_engine::JobDone {
+        outcome, source, ..
+    } = results.remove(0);
     match outcome {
         Ok(artifact) => respond_json(
             stream,

@@ -11,8 +11,8 @@
 //! run of the same sweep.
 
 use condspec_engine::{
-    default_workers, run_jobs_stored, run_sampled_bench, run_sweep_observed, JobSource, JobStatus,
-    ManifestInfo, ProgramCache, ResultStore, SampledBenchSpec, Sweep, SweepDir, SweepOptions,
+    default_workers, run_jobs, run_sampled_bench, run_sweep_observed, write_sweep_manifest,
+    JobSource, ProgramCache, ResultStore, SampledBenchSpec, Sweep, SweepDir, SweepOptions,
     SweepProgress, SweepResults,
 };
 use condspec_stats::Json;
@@ -705,39 +705,21 @@ impl ServerState {
     /// Writes the manifest (per-shard provenance included), renders the
     /// report, and marks the submission done.
     fn finalize_distributed(&self, run: &DistributedRun) -> io::Result<()> {
-        let statuses: Vec<JobStatus> = run
-            .sweep
-            .jobs
-            .iter()
-            .zip(&run.items)
-            .map(|(job, item)| {
-                let hash = job.hash_hex();
-                let status = if run.results.contains_key(&hash) {
-                    "ok"
-                } else {
-                    "failed"
-                };
-                JobStatus {
-                    hash,
-                    label: job.label(),
-                    status,
-                    source: if item.via_store {
-                        JobSource::Store
-                    } else {
-                        JobSource::Simulated
-                    },
-                    owner: item.owner.clone(),
-                }
-            })
-            .collect();
-        run.dir.write_manifest(
-            &ManifestInfo {
-                sweep_name: run.sweep.name,
-                sweep_id: &run.sweep.sweep_id(),
-                bench_iterations: run.iterations,
-                bench_warmup: run.warmup,
-            },
-            &statuses,
+        let provenance = run.items.iter().map(|item| {
+            let source = if item.via_store {
+                JobSource::Store
+            } else {
+                JobSource::Simulated
+            };
+            (source, item.owner.clone())
+        });
+        write_sweep_manifest(
+            &run.dir,
+            &run.sweep,
+            run.iterations,
+            run.warmup,
+            &run.results,
+            provenance,
         )?;
         if self.store_root.is_some() {
             let hits = run.items.iter().filter(|i| i.via_store).count() as u64;
@@ -826,17 +808,18 @@ fn run_sampled_submission(
                 Err(_) => progress.failed += 1,
             },
             None => {
-                let mut run = run_jobs_stored(
+                let store_mode = store.as_ref().map(|s| (s, None));
+                let mut run = run_jobs(
                     std::slice::from_ref(job),
                     1,
                     &programs,
-                    store.as_ref(),
-                    |_, _, _, _| {},
+                    store_mode,
+                    |_, _| {},
                 );
-                let (outcome, _, source) = run.remove(0);
-                match outcome {
+                let done = run.remove(0);
+                match done.outcome {
                     Ok(doc) => {
-                        match source {
+                        match done.source {
                             JobSource::Store => progress.store_hits += 1,
                             _ => progress.simulated += 1,
                         }

@@ -135,14 +135,9 @@ fn drive_worker(addr: SocketAddr, owner: &str) -> u64 {
             key,
             "descriptor key matches reconstruction"
         );
-        let mut results = condspec_engine::run_jobs_stored(
-            std::slice::from_ref(&job),
-            1,
-            &programs,
-            None,
-            |_, _, _, _| {},
-        );
-        let (outcome, _, _) = results.pop().expect("one result");
+        let mut results =
+            condspec_engine::run_jobs(std::slice::from_ref(&job), 1, &programs, None, |_, _| {});
+        let outcome = results.pop().expect("one result").outcome;
         let mut fields = vec![
             ("owner", Json::from(owner)),
             ("submission", Json::from(submission)),
@@ -339,14 +334,9 @@ fn distributed_submission_is_drained_by_pull_workers() {
         .expect("icache")
         .scaled(Some(3), Some(1));
     let job = sweep.jobs[ghost_index as usize].clone();
-    let mut results = condspec_engine::run_jobs_stored(
-        std::slice::from_ref(&job),
-        1,
-        &programs,
-        None,
-        |_, _, _, _| {},
-    );
-    let artifact = results.pop().expect("result").0.expect("job ok");
+    let mut results =
+        condspec_engine::run_jobs(std::slice::from_ref(&job), 1, &programs, None, |_, _| {});
+    let artifact = results.pop().expect("result").outcome.expect("job ok");
     let (status, body) = post(
         addr,
         "/api/work/result",
@@ -663,4 +653,30 @@ fn daemon_round_trip_with_warm_store_second_submission() {
 
     std::fs::remove_dir_all(&runs_root).ok();
     std::fs::remove_dir_all(&store_root).ok();
+}
+
+#[test]
+fn deeply_nested_body_is_rejected_and_the_daemon_stays_up() {
+    let runs_root = scratch("nested");
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        runs_root: runs_root.clone(),
+        store_root: None,
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || server.run().expect("serve"));
+
+    // 20 000 unclosed arrays once overflowed the connection thread's
+    // stack and aborted the whole process.
+    let (status, body) = post(addr, "/api/sweeps", &"[".repeat(20_000));
+    assert!((400..500).contains(&status), "{status}: {body}");
+    let (status, body) = get(addr, "/healthz");
+    assert_eq!(status, 200, "{body}");
+
+    let (status, body) = post(addr, "/api/shutdown", "");
+    assert_eq!(status, 200, "{body}");
+    daemon.join().expect("daemon thread exits cleanly");
+    std::fs::remove_dir_all(&runs_root).ok();
 }

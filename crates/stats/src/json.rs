@@ -185,11 +185,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset on malformed input.
+    /// Returns [`JsonError`] with a byte offset on malformed input,
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -253,9 +255,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so untrusted input (a request body) must
+/// not choose the depth: 20 000 `[` overflow a 2 MiB thread stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -300,8 +309,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
@@ -527,6 +547,17 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Far past the limit: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(20_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(20_000)).is_err());
     }
 
     #[test]

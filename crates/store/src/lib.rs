@@ -251,14 +251,15 @@ impl ResultStore {
     ///
     /// [`insert`]: ResultStore::insert
     pub fn load(&self, key: &str) -> Option<Json> {
-        self.load_at(self.object_path(key), key)
+        self.load_at(self.object_path(key), key)?.into_artifact()
     }
 
     /// [`ResultStore::load`] against the `checkpoints/` directory: the
     /// serialized `condspec-checkpoint-v1` document stored under `key`,
     /// with the same damage-is-a-miss semantics and counters.
     pub fn load_checkpoint(&self, key: &str) -> Option<Json> {
-        self.load_at(self.checkpoint_path(key), key)
+        self.load_at(self.checkpoint_path(key), key)?
+            .into_artifact()
     }
 
     /// [`ResultStore::load`] that also returns the owner id recorded by
@@ -268,30 +269,18 @@ impl ResultStore {
     /// [`insert`]: ResultStore::insert
     /// [`insert_claimed`]: ResultStore::insert_claimed
     pub fn load_with_origin(&self, key: &str) -> Option<(Json, Option<String>)> {
-        match self.load_envelope(self.object_path(key), key) {
-            Ok(envelope) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                let owner = envelope.owner.clone();
-                envelope.into_artifact().map(|doc| (doc, owner))
-            }
-            Err(LoadMiss::Absent) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Err(LoadMiss::Damaged(_)) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let envelope = self.load_at(self.object_path(key), key)?;
+        let owner = envelope.owner.clone();
+        envelope.into_artifact().map(|doc| (doc, owner))
     }
 
-    fn load_at(&self, path: PathBuf, key: &str) -> Option<Json> {
+    /// The validated envelope at `path`, counting the hit, miss or
+    /// damaged entry.
+    fn load_at(&self, path: PathBuf, key: &str) -> Option<Envelope> {
         match self.load_envelope(path, key) {
             Ok(envelope) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                // Envelope was fully validated; artifact is present.
-                envelope.into_artifact()
+                Some(envelope)
             }
             Err(LoadMiss::Absent) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
