@@ -18,31 +18,43 @@ echo "==> perf smoke + regression guard (condspec perf --quick --compare --stage
 cargo build --release -p condspec-cli
 perf_out="target/perf-smoke/simspeed.json"
 stage_out="target/perf-smoke/stagespeed.json"
+guard_log="target/perf-smoke/perf-guard.log"
 mkdir -p target/perf-smoke
-# One invocation validates the fresh simspeed report (schema + nonzero
-# simulated work and throughput in every matrix cell), diffs it against
-# the committed baseline, then does the same for the per-stage
-# microbenchmark suite, exiting non-zero on any regression:
+# One invocation validates the fresh simspeed and stagespeed reports
+# (schema + nonzero work and throughput in every cell), then runs each
+# through the one perf-guard comparison (condspec_bench::guard::compare,
+# driven by the document's DocKind), exiting non-zero on any regression:
 #
-#   * simulated work (sim_cycles / committed_inst) per matrix cell and
-#     stage work (ops / checksum) per stage cell — exact equality on
-#     every host, because both are deterministic. A legitimate
-#     timing-model or stage-workload change must regenerate the
-#     baselines (DESIGN.md §8 records the procedure):
+#   * exact work per cell — sim_cycles / committed_inst for a simspeed
+#     cell, ops / checksum for a stage cell — equal on every host,
+#     because both are deterministic. A legitimate timing-model or
+#     stage-workload change must regenerate the baselines (DESIGN.md §8
+#     records the procedure):
 #         ./target/release/condspec perf --quick --out /tmp/q.json
 #         python3 ci/make_perf_baseline.py /tmp/q.json > ci/perf-quick-baseline.json
 #         ./target/release/condspec perf --quick --stages --stage-out /tmp/s.json
 #         python3 ci/make_perf_baseline.py --stage /tmp/s.json > ci/stage-quick-baseline.json
-#   * host throughput (committed_inst/s, stage ops/s) per cell —
+#   * the rate field per cell (committed_inst_per_sec, ops_per_sec) —
 #     compared only when this machine matches the baseline's recorded
 #     host (tag, rustc, CPU count; the mismatching field is named, so
 #     the check self-skips on contributor hardware), failing below
 #     0.70x. Set CONDSPEC_SKIP_PERF_GUARD=1 to skip the throughput
 #     comparison explicitly (e.g. a loaded or throttled machine).
-./target/release/condspec perf --quick --out "$perf_out" \
+#
+# stderr is kept in $guard_log, which must carry exactly one verdict
+# line per document: proof that both guards ran.
+{ ./target/release/condspec perf --quick --out "$perf_out" \
     --compare ci/perf-quick-baseline.json \
     --stages --stage-out "$stage_out" \
-    --stage-baseline ci/stage-quick-baseline.json
+    --stage-baseline ci/stage-quick-baseline.json \
+    2>&1 1>&3 3>&- | tee "$guard_log" >&2; } 3>&1
+for verdict in "perf guard ok:" "stage guard ok:"; do
+    count=$(grep -c "^$verdict" "$guard_log" || true)
+    [ "$count" -eq 1 ] || {
+        echo "expected one '$verdict' line in $guard_log, found $count" >&2
+        exit 1
+    }
+done
 
 echo "==> engine program-cache smoke (one build per distinct program)"
 # The icache sweep (44 jobs: 22 benchmarks x {filter off, on}, all on

@@ -1,14 +1,18 @@
-//! Shared experiment-harness helpers for the table/figure reproductions.
+//! Benchmark harnesses and the simulator's own speed measurements.
 //!
-//! Every `cargo bench` target in this crate regenerates one of the
-//! paper's tables or figures; the sweep logic they share (run a
-//! calibrated benchmark on a configured machine, with warm-up, and
-//! collect the paper's metrics) lives here.
+//! The paper's tables and figures are engine sweeps run by `condspec
+//! sweep <name>`. This crate holds what those sweeps do not cover: the
+//! `cargo bench` targets for §VI.E's hardware-overhead proxies, §VIII's
+//! blanket-`lfence` comparison and the prefetcher ablation (which share
+//! [`run_benchmark`]), plus the simulator-throughput matrix
+//! ([`perf`]), the per-stage microbenchmarks ([`stage`]) and the
+//! baseline comparison both are guarded by ([`guard`]).
 
+pub mod guard;
 pub mod perf;
 pub mod stage;
 
-use condspec::{DefenseConfig, LruPolicy, MachineConfig, Report, SimConfig, Simulator};
+use condspec::{DefenseConfig, Report, SimConfig, Simulator};
 use condspec_pipeline::PipelineStats;
 use condspec_workloads::spec::{build_program, WorkloadSpec};
 
@@ -64,95 +68,6 @@ pub fn run_benchmark(
     }
 }
 
-/// Runs one benchmark under every defense environment on a machine,
-/// returning measurements in [`DefenseConfig::ALL`] order.
-pub fn run_all_defenses(
-    spec: &WorkloadSpec,
-    machine: MachineConfig,
-    outer_iterations: u64,
-) -> Vec<RunMeasurement> {
-    DefenseConfig::ALL
-        .iter()
-        .map(|d| run_benchmark(spec, SimConfig::on_machine(*d, machine), outer_iterations))
-        .collect()
-}
-
-/// Runs one benchmark under the full defense with a given secure-LRU
-/// policy (the §VII.A study).
-pub fn run_with_lru(spec: &WorkloadSpec, lru: LruPolicy, outer_iterations: u64) -> RunMeasurement {
-    let config = SimConfig {
-        lru_policy: lru,
-        ..SimConfig::new(DefenseConfig::CacheHitTpbuf)
-    };
-    run_benchmark(spec, config, outer_iterations)
-}
-
-/// Normalized execution time (vs the Origin measurement of the same
-/// sweep).
-pub fn normalized(measurement: &RunMeasurement, origin: &RunMeasurement) -> f64 {
-    measurement.report.cycles as f64 / origin.report.cycles.max(1) as f64
-}
-
-/// The shared entry point of the table/figure harnesses: runs the named
-/// engine sweep and prints its rendered table.
-///
-/// Recognized arguments (everything else — e.g. the `--bench` flag
-/// cargo passes to harness binaries — is ignored): `--jobs <n>`,
-/// `--resume`, `--quiet`, `--root <dir>`.
-pub fn sweep_main(name: &str) -> std::process::ExitCode {
-    use std::process::ExitCode;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let sweep = condspec_engine::Sweep::by_name(name).expect("harness names a known sweep");
-    let mut opts = condspec_engine::SweepOptions {
-        resume: args.iter().any(|a| a == "--resume"),
-        quiet: args.iter().any(|a| a == "--quiet"),
-        ..Default::default()
-    };
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|pos| args.get(pos + 1))
-            .cloned()
-    };
-    if let Some(jobs) = value_of("--jobs") {
-        match jobs.parse::<usize>() {
-            Ok(n) => opts.workers = n,
-            Err(_) => {
-                eprintln!("bad --jobs `{jobs}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(root) = value_of("--root") {
-        opts.root = root.into();
-    }
-    let outcome = match condspec_engine::run_sweep(&sweep, &opts) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("sweep {name} failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{}", sweep.render(&outcome.results));
-    println!(
-        "sweep {}: {} executed, {} skipped, {} failed — artifacts in {}",
-        outcome.sweep_id,
-        outcome.executed,
-        outcome.skipped,
-        outcome.failed.len(),
-        outcome.dir.display()
-    );
-    for (hash, label, error) in &outcome.failed {
-        eprintln!("failed job {hash} ({label}): {error}");
-    }
-    if outcome.failed.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,12 +85,15 @@ mod tests {
     #[test]
     fn defenses_ordering_on_one_benchmark() {
         let spec = by_name("gcc").expect("suite benchmark");
-        let runs = run_all_defenses(&spec, MachineConfig::paper_default(), 20);
+        let runs: Vec<RunMeasurement> = DefenseConfig::ALL
+            .iter()
+            .map(|&d| run_benchmark(&spec, SimConfig::new(d), 20))
+            .collect();
         assert_eq!(runs.len(), 4);
         let origin = &runs[0];
         for r in &runs[1..] {
             assert!(
-                normalized(r, origin) >= 0.9,
+                r.report.cycles as f64 / origin.report.cycles.max(1) as f64 >= 0.9,
                 "defenses should not speed the machine up: {} {}",
                 r.benchmark,
                 r.defense

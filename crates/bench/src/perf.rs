@@ -29,6 +29,7 @@
 //! per-cell `mode` field. A detailed cell carries no `mode` field, so
 //! baselines from before the field still compare.
 
+use crate::guard::DocKind;
 use condspec::{run_sampled, DefenseConfig, MachineConfig, SampledOptions, SimConfig, Simulator};
 use condspec_isa::{AluOp, BranchCond, Program, ProgramBuilder, Reg};
 use condspec_stats::{Json, SplitMix64};
@@ -504,8 +505,8 @@ pub fn run_matrix(opts: &PerfOptions) -> Vec<PerfCell> {
 
 /// The machine identity throughput numbers belong to, e.g.
 /// `x86_64-1cpu`. Wall-clock rates from different hosts are not
-/// comparable; [`compare`] only checks throughput when the baseline's
-/// tag matches the current host's.
+/// comparable; [`crate::guard::compare`] only checks throughput when the
+/// baseline's tag matches the current host's.
 pub fn host_tag() -> String {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -515,7 +516,7 @@ pub fn host_tag() -> String {
 
 /// The identity wall-clock throughput numbers belong to: machine tag,
 /// compiler, and core count. Recorded in every simspeed/stagespeed
-/// report as the `host` block; [`compare`] refuses the throughput check
+/// report as the `host` block; [`crate::guard::compare`] refuses the throughput check
 /// with a message naming the mismatching field when any of them differ
 /// from the baseline's.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -682,285 +683,39 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Largest tolerated throughput drop: a cell below this fraction of the
-/// baseline's committed-inst/s fails [`compare`] (when the host
-/// matches). 0.70 keeps the guard robust to scheduler jitter while
-/// still catching real hot-path regressions.
-pub const MIN_THROUGHPUT_RATIO: f64 = 0.70;
-
-/// One cell of a [`compare`] run: baseline vs current, same
-/// workload × defense.
-#[derive(Debug, Clone)]
-pub struct CompareCell {
-    /// Workload name.
-    pub workload: String,
-    /// Defense key.
-    pub defense: String,
-    /// Cell mode (`detailed` when the report predates the field).
-    pub mode: String,
-    /// `(baseline, current)` simulated cycles — must be equal.
-    pub sim_cycles: (u64, u64),
-    /// `(baseline, current)` committed instructions — must be equal.
-    pub committed: (u64, u64),
-    /// `(baseline, current)` committed instructions per wall-second.
-    pub committed_per_sec: (f64, f64),
-}
-
-impl CompareCell {
-    /// current / baseline committed-inst/s.
-    pub fn throughput_ratio(&self) -> f64 {
-        self.committed_per_sec.1 / self.committed_per_sec.0.max(1e-9)
-    }
-
-    /// Whether the deterministic simulated-work fields match exactly.
-    pub fn work_matches(&self) -> bool {
-        self.sim_cycles.0 == self.sim_cycles.1 && self.committed.0 == self.committed.1
-    }
-}
-
-/// The verdict of comparing a fresh report against a committed
-/// baseline.
-#[derive(Debug)]
-pub struct Comparison {
-    /// Per-cell deltas, in the baseline's cell order.
-    pub cells: Vec<CompareCell>,
-    /// Human-readable regressions; empty means the comparison passed.
-    pub failures: Vec<String>,
-    /// Why throughput was or was not checked (one line for the log).
-    pub throughput_note: String,
-}
-
-impl Comparison {
-    /// Whether the report is acceptable (no exact-work mismatch, no
-    /// over-threshold throughput regression).
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Unwraps a baseline document to its simspeed report and host tag.
-///
-/// Accepts either a bare `condspec-simspeed-v1` report (e.g.
-/// `BENCH_simspeed.json`) or the CI wrapper schema
-/// `condspec-simspeed-quick-baseline-v1` (`ci/perf-quick-baseline.json`),
-/// whose `host_tag` takes precedence over one inside the report.
-fn unwrap_baseline(baseline: &Json) -> Result<(&Json, Option<&str>), String> {
-    match baseline.get("schema").and_then(Json::as_str) {
-        Some("condspec-simspeed-quick-baseline-v1") => {
-            let report = baseline
-                .get("report")
-                .ok_or("baseline wrapper has no report field")?;
-            let tag = baseline
-                .get("host_tag")
-                .and_then(Json::as_str)
-                .or_else(|| report.get("host_tag").and_then(Json::as_str));
-            Ok((report, tag))
-        }
-        Some(s) if s == SCHEMA => Ok((baseline, baseline.get("host_tag").and_then(Json::as_str))),
-        other => Err(format!("unrecognized baseline schema: {other:?}")),
-    }
-}
-
-/// The baseline's recorded host identity: its `host` block when
-/// present (wrapper level preferred), else a tag-only block synthesized
-/// from the legacy `host_tag` string.
-pub(crate) fn baseline_host(baseline: &Json, report: &Json, tag: Option<&str>) -> Option<Json> {
-    if let Some(block) = baseline.get("host").or_else(|| report.get("host")) {
-        return Some(block.clone());
-    }
-    tag.map(|t| Json::object([("tag", Json::Str(t.to_string()))]))
-}
-
-/// Resolves the throughput-check gate: `Ok(note)` when wall-clock rates
-/// may be compared, `Err(note)` when they must not be (the note names
-/// the reason — the skip is explicit, never silent).
-pub(crate) fn throughput_gate(
-    host: &HostInfo,
-    base_host: Option<&Json>,
-    skip: bool,
-) -> Result<String, String> {
-    if skip {
-        return Err("throughput check skipped: CONDSPEC_SKIP_PERF_GUARD set".to_string());
-    }
-    match base_host {
-        None => Err("throughput check skipped: baseline records no host identity".to_string()),
-        Some(block) => match host.incompatibility(block) {
-            Some(reason) => Err(format!(
-                "throughput check refused: {reason} (simulated-work equality still verified)"
-            )),
-            None => Ok(format!(
-                "throughput checked: host {} matches baseline, floor {MIN_THROUGHPUT_RATIO:.2}x",
-                host.tag
-            )),
-        },
-    }
-}
-
-fn cell_map(report: &Json) -> Result<Vec<(String, String, String, &Json)>, String> {
-    report
-        .get("cells")
-        .and_then(Json::as_array)
-        .ok_or("report has no cells array")?
-        .iter()
-        .map(|cell| {
-            let workload = cell
-                .get("workload")
-                .and_then(Json::as_str)
-                .ok_or("cell missing workload")?;
-            let defense = cell
-                .get("defense")
-                .and_then(Json::as_str)
-                .ok_or("cell missing defense")?;
-            // Cells from before the per-cell mode field are detailed.
-            let mode = cell
-                .get("mode")
-                .and_then(Json::as_str)
-                .unwrap_or("detailed");
-            Ok((
-                workload.to_string(),
-                defense.to_string(),
-                mode.to_string(),
-                cell,
-            ))
-        })
-        .collect()
-}
-
-fn cell_u64(cell: &Json, key: &str) -> Result<u64, String> {
-    cell.get(key)
-        .and_then(Json::as_u64)
-        .ok_or(format!("cell missing {key}"))
-}
-
-fn cell_f64(cell: &Json, key: &str) -> Result<f64, String> {
-    cell.get(key)
-        .and_then(Json::as_f64)
-        .ok_or(format!("cell missing {key}"))
-}
-
-/// Compares a fresh simspeed report against a committed baseline (the
-/// `condspec perf --compare` core, and CI's regression guard).
-///
-/// Two classes of check:
-///
-/// * **Simulated work** (`sim_cycles`, `committed_inst`) — exact
-///   equality per cell, on every host: the simulator is deterministic,
-///   so any drift means the timing model changed and the baseline must
-///   be regenerated deliberately (see `ci/make_perf_baseline.py`).
-/// * **Throughput** (`committed_inst_per_sec`) — `current/baseline ≥`
-///   [`MIN_THROUGHPUT_RATIO`] per cell, but only when the current
-///   [`HostInfo`] matches the baseline's recorded host identity (rates
-///   from different machines or compilers are incomparable — the
-///   refusal names the mismatching field) and `skip_throughput` is
-///   unset (`CONDSPEC_SKIP_PERF_GUARD=1` for loaded/throttled hosts).
-///
-/// A current report produced with `--only` carries a subset of the
-/// baseline's cells; the subset is compared cell-for-cell. Cells
-/// present in the current report but absent from the baseline are a
-/// hard error (the matrix changed; regenerate the baseline).
-///
-/// # Errors
-///
-/// Returns a message (instead of a [`Comparison`]) when the documents
-/// are structurally incomparable: unknown schema, mode/machine
-/// mismatch, or current cells the baseline does not cover.
-pub fn compare(
-    current: &Json,
-    baseline: &Json,
-    host: &HostInfo,
-    skip_throughput: bool,
-) -> Result<Comparison, String> {
-    match current.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => {}
-        other => return Err(format!("current report has bad schema: {other:?}")),
-    }
-    let (base_report, base_tag) = unwrap_baseline(baseline)?;
-    for key in ["mode", "machine"] {
-        let base = base_report.get(key).and_then(Json::as_str);
-        let got = current.get(key).and_then(Json::as_str);
-        if base != got {
-            return Err(format!(
-                "{key} mismatch: baseline {base:?} vs current {got:?}"
-            ));
-        }
-    }
-
-    let base_cells = cell_map(base_report)?;
-    let got_cells = cell_map(current)?;
-    if got_cells.is_empty() {
-        return Err("current report has no cells".to_string());
-    }
-
-    let base_host = baseline_host(baseline, base_report, base_tag);
-    let gate = throughput_gate(host, base_host.as_ref(), skip_throughput);
-    let check_throughput = gate.is_ok();
-    let throughput_note = match gate {
-        Ok(note) | Err(note) => note,
-    };
-
-    let mut cells = Vec::new();
-    let mut failures = Vec::new();
-    for (workload, defense, mode, got) in &got_cells {
-        let Some((_, _, _, base)) = base_cells
-            .iter()
-            .find(|(w, d, m, _)| w == workload && d == defense && m == mode)
-        else {
-            return Err(format!(
-                "cell {workload}/{defense}/{mode} is not in the baseline \
-                 (matrix changed — regenerate the baseline)"
-            ));
-        };
-        // Detailed cells keep their historical two-part label so existing
-        // baseline tooling output stays familiar.
-        let label = if mode == "detailed" {
-            format!("{workload}/{defense}")
-        } else {
-            format!("{workload}/{defense}/{mode}")
-        };
-        let cell = CompareCell {
-            workload: workload.clone(),
-            defense: defense.clone(),
-            mode: mode.clone(),
-            sim_cycles: (cell_u64(base, "sim_cycles")?, cell_u64(got, "sim_cycles")?),
-            committed: (
-                cell_u64(base, "committed_inst")?,
-                cell_u64(got, "committed_inst")?,
-            ),
-            committed_per_sec: (
-                cell_f64(base, "committed_inst_per_sec")?,
-                cell_f64(got, "committed_inst_per_sec")?,
-            ),
-        };
-        if !cell.work_matches() {
-            failures.push(format!(
-                "{label}: simulated work changed — cycles {} -> {}, committed {} -> {}; \
-                 the run is no longer identical to the committed baseline (regenerate the baseline \
-                 if the timing-model change is intentional)",
-                cell.sim_cycles.0, cell.sim_cycles.1, cell.committed.0, cell.committed.1,
-            ));
-        }
-        if check_throughput {
-            let ratio = cell.throughput_ratio();
-            if ratio < MIN_THROUGHPUT_RATIO {
-                failures.push(format!(
-                    "{label}: committed-inst/s regressed {:.0} -> {:.0} ({ratio:.2}x, \
-                     floor {MIN_THROUGHPUT_RATIO:.2}x)",
-                    cell.committed_per_sec.0, cell.committed_per_sec.1,
-                ));
-            }
-        }
-        cells.push(cell);
-    }
-    Ok(Comparison {
-        cells,
-        failures,
-        throughput_note,
-    })
-}
+/// The simspeed document, as the perf guard compares it. Cells are keyed
+/// by workload, defense and mode (absent = `detailed`, so baselines from
+/// before the field still compare); the machine and sizing must match.
+pub const DOC: DocKind = DocKind {
+    name: "perf",
+    schema: SCHEMA,
+    wrapper_schema: "condspec-simspeed-quick-baseline-v1",
+    header: &["mode", "machine"],
+    key: &[
+        ("workload", None),
+        ("defense", None),
+        ("mode", Some("detailed")),
+    ],
+    work: &["sim_cycles", "committed_inst"],
+    work_noun: "simulated work",
+    rate: "committed_inst_per_sec",
+    rate_unit: "Minst/s",
+    validate,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guard::{Comparison, MIN_THROUGHPUT_RATIO};
+
+    fn compare(
+        current: &Json,
+        baseline: &Json,
+        host: &HostInfo,
+        skip: bool,
+    ) -> Result<Comparison, String> {
+        crate::guard::compare(&DOC, current, baseline, host, skip)
+    }
 
     #[test]
     fn quick_matrix_is_deterministic_and_valid() {

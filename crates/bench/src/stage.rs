@@ -25,10 +25,11 @@
 //! *results*, not just their speed. Cells are timed several times and
 //! the fastest wall time is reported, exactly like the simspeed matrix.
 //! The result serializes as the `condspec-stagespeed-v1` JSON schema;
-//! `compare` diffs a fresh report against a committed baseline with the
-//! same exact-work + gated-throughput split as `perf::compare`.
+//! [`DOC`] describes it to the same perf guard ([`crate::guard`]) that
+//! checks simspeed reports.
 
-use crate::perf::{baseline_host, host_tag, throughput_gate, HostInfo, MIN_THROUGHPUT_RATIO};
+use crate::guard::DocKind;
+use crate::perf::{host_tag, HostInfo};
 use condspec_isa::Inst;
 use condspec_pipeline::iq::{IqHot, IssueQueue};
 use condspec_pipeline::lsq::Lsq;
@@ -450,183 +451,34 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// One cell of a stage [`compare`] run.
-#[derive(Debug, Clone)]
-pub struct StageCompareCell {
-    /// Stage name.
-    pub stage: String,
-    /// `(baseline, current)` operation counts — must be equal.
-    pub ops: (u64, u64),
-    /// `(baseline, current)` checksums — must be equal.
-    pub checksum: (u64, u64),
-    /// `(baseline, current)` operations per wall-second.
-    pub ops_per_sec: (f64, f64),
-}
-
-impl StageCompareCell {
-    /// current / baseline ops/s.
-    pub fn throughput_ratio(&self) -> f64 {
-        self.ops_per_sec.1 / self.ops_per_sec.0.max(1e-9)
-    }
-
-    /// Whether the deterministic work fields match exactly.
-    pub fn work_matches(&self) -> bool {
-        self.ops.0 == self.ops.1 && self.checksum.0 == self.checksum.1
-    }
-}
-
-/// The verdict of comparing a fresh stagespeed report against a
-/// committed baseline.
-#[derive(Debug)]
-pub struct StageComparison {
-    /// Per-cell deltas, in the current report's cell order.
-    pub cells: Vec<StageCompareCell>,
-    /// Human-readable regressions; empty means the comparison passed.
-    pub failures: Vec<String>,
-    /// Why throughput was or was not checked (one line for the log).
-    pub throughput_note: String,
-}
-
-impl StageComparison {
-    /// Whether the report is acceptable.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Unwraps a baseline document to its stagespeed report. Accepts a bare
-/// `condspec-stagespeed-v1` report or the CI wrapper schema
-/// `condspec-stagespeed-quick-baseline-v1` (`ci/stage-quick-baseline.json`).
-fn unwrap_baseline(baseline: &Json) -> Result<(&Json, Option<&str>), String> {
-    match baseline.get("schema").and_then(Json::as_str) {
-        Some("condspec-stagespeed-quick-baseline-v1") => {
-            let report = baseline
-                .get("report")
-                .ok_or("baseline wrapper has no report field")?;
-            let tag = baseline
-                .get("host_tag")
-                .and_then(Json::as_str)
-                .or_else(|| report.get("host_tag").and_then(Json::as_str));
-            Ok((report, tag))
-        }
-        Some(s) if s == SCHEMA => Ok((baseline, baseline.get("host_tag").and_then(Json::as_str))),
-        other => Err(format!("unrecognized stage baseline schema: {other:?}")),
-    }
-}
-
-/// Compares a fresh stagespeed report against a committed baseline —
-/// the stage-cell half of `condspec perf --compare`, and CI's per-stage
-/// regression guard. Same split as `perf::compare`: deterministic work
-/// (`ops`, `checksum`) must match exactly on every host; throughput
-/// (`ops_per_sec`) is gated on a matching [`HostInfo`] (the refusal
-/// names the mismatching field) and the shared
-/// [`MIN_THROUGHPUT_RATIO`] floor.
-pub fn compare(
-    current: &Json,
-    baseline: &Json,
-    host: &HostInfo,
-    skip_throughput: bool,
-) -> Result<StageComparison, String> {
-    match current.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => {}
-        other => return Err(format!("current report has bad schema: {other:?}")),
-    }
-    let (base_report, base_tag) = unwrap_baseline(baseline)?;
-    {
-        let base = base_report.get("mode").and_then(Json::as_str);
-        let got = current.get("mode").and_then(Json::as_str);
-        if base != got {
-            return Err(format!(
-                "mode mismatch: baseline {base:?} vs current {got:?}"
-            ));
-        }
-    }
-
-    let cell_list = |report: &'static str, doc: &Json| -> Result<Vec<(String, Json)>, String> {
-        doc.get("cells")
-            .and_then(Json::as_array)
-            .ok_or(format!("{report} report has no cells array"))?
-            .iter()
-            .map(|cell| {
-                let stage = cell
-                    .get("stage")
-                    .and_then(Json::as_str)
-                    .ok_or("cell missing stage")?;
-                Ok((stage.to_string(), cell.clone()))
-            })
-            .collect::<Result<Vec<_>, String>>()
-    };
-    let base_cells = cell_list("baseline", base_report)?;
-    let got_cells = cell_list("current", current)?;
-    if got_cells.is_empty() {
-        return Err("current report has no cells".to_string());
-    }
-
-    let base_host = baseline_host(baseline, base_report, base_tag);
-    let gate = throughput_gate(host, base_host.as_ref(), skip_throughput);
-    let check_throughput = gate.is_ok();
-    let throughput_note = match gate {
-        Ok(note) | Err(note) => note,
-    };
-
-    let field_u64 = |cell: &Json, key: &str| -> Result<u64, String> {
-        cell.get(key)
-            .and_then(Json::as_u64)
-            .ok_or(format!("cell missing {key}"))
-    };
-    let field_f64 = |cell: &Json, key: &str| -> Result<f64, String> {
-        cell.get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("cell missing {key}"))
-    };
-
-    let mut cells = Vec::new();
-    let mut failures = Vec::new();
-    for (stage, got) in &got_cells {
-        let Some((_, base)) = base_cells.iter().find(|(s, _)| s == stage) else {
-            return Err(format!(
-                "stage {stage} is not in the baseline (suite changed — regenerate the baseline)"
-            ));
-        };
-        let cell = StageCompareCell {
-            stage: stage.clone(),
-            ops: (field_u64(base, "ops")?, field_u64(got, "ops")?),
-            checksum: (field_u64(base, "checksum")?, field_u64(got, "checksum")?),
-            ops_per_sec: (
-                field_f64(base, "ops_per_sec")?,
-                field_f64(got, "ops_per_sec")?,
-            ),
-        };
-        if !cell.work_matches() {
-            failures.push(format!(
-                "stage {stage}: deterministic work changed — ops {} -> {}, checksum {:#x} -> {:#x}; \
-                 the structures no longer produce the baseline's results (regenerate the baseline \
-                 if the change is intentional)",
-                cell.ops.0, cell.ops.1, cell.checksum.0, cell.checksum.1,
-            ));
-        }
-        if check_throughput {
-            let ratio = cell.throughput_ratio();
-            if ratio < MIN_THROUGHPUT_RATIO {
-                failures.push(format!(
-                    "stage {stage}: ops/s regressed {:.0} -> {:.0} ({ratio:.2}x, \
-                     floor {MIN_THROUGHPUT_RATIO:.2}x)",
-                    cell.ops_per_sec.0, cell.ops_per_sec.1,
-                ));
-            }
-        }
-        cells.push(cell);
-    }
-    Ok(StageComparison {
-        cells,
-        failures,
-        throughput_note,
-    })
-}
+/// The stagespeed document, as the perf guard compares it: cells keyed
+/// by stage, `ops` and `checksum` exact, `ops_per_sec` gated.
+pub const DOC: DocKind = DocKind {
+    name: "stage",
+    schema: SCHEMA,
+    wrapper_schema: "condspec-stagespeed-quick-baseline-v1",
+    header: &["mode"],
+    key: &[("stage", None)],
+    work: &["ops", "checksum"],
+    work_noun: "deterministic work",
+    rate: "ops_per_sec",
+    rate_unit: "Mops/s",
+    validate,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guard::{Comparison, MIN_THROUGHPUT_RATIO};
+
+    fn compare(
+        current: &Json,
+        baseline: &Json,
+        host: &HostInfo,
+        skip: bool,
+    ) -> Result<Comparison, String> {
+        crate::guard::compare(&DOC, current, baseline, host, skip)
+    }
 
     #[test]
     fn quick_suite_is_deterministic_and_valid() {

@@ -1,12 +1,15 @@
 //! Hand-rolled argument parsing for the `condspec` command-line driver
-//! (kept dependency-free).
+//! (kept dependency-free). Names of defenses, scenarios, gadgets and
+//! machines are looked up in their owning crates' `from_key` tables.
 
 use condspec::{DefenseConfig, MachineConfig};
 use condspec_attacks::AttackScenario;
 use condspec_bench::perf::CellFilter;
+use condspec_engine::MachinePreset;
 use condspec_workloads::GadgetKind;
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 
 /// Output format for `condspec trace`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,231 +53,290 @@ pub enum StoreAction {
     Verify,
 }
 
-/// A parsed command.
+/// `condspec attack`: one side-channel scenario (or all) against one
+/// defense (or all).
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttackArgs {
+    /// `None` = all six scenarios.
+    pub scenario: Option<AttackScenario>,
+    /// `None` = all four environments.
+    pub defense: Option<DefenseConfig>,
+}
+
+/// `condspec variant`: one Spectre variant end-to-end.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VariantArgs {
+    /// Which gadget.
+    pub kind: GadgetKind,
+    /// `None` = all four environments.
+    pub defense: Option<DefenseConfig>,
+}
+
+/// `condspec leaks`: the taint-oracle leak probes and the leak matrix.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LeaksArgs {
+    /// `None` = the Table IV corpus (v1, v2, v4, rsb).
+    pub gadget: Option<GadgetKind>,
+    /// `None` = all four environments.
+    pub defense: Option<DefenseConfig>,
+    /// Restrict the corpus to one conditional-branch gadget and one
+    /// return-stack gadget (v1, rsb) for smoke runs.
+    pub quick: bool,
+    /// Also write the per-cell JSON documents here.
+    pub out: Option<String>,
+}
+
+/// `condspec bench`: one calibrated benchmark and its report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchArgs {
+    /// Benchmark name from the suite.
+    pub name: String,
+    /// `None` = all four environments.
+    pub defense: Option<DefenseConfig>,
+    /// Machine preset (boxed: `MachineConfig` dwarfs the other fields).
+    pub machine: Box<MachineConfig>,
+    /// Outer iterations.
+    pub iterations: u64,
+}
+
+/// `condspec run`: execute a serialized program file.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunArgs {
+    /// Path to a `CONDSPEC` binary program file.
+    pub file: String,
+    /// `None` = Origin.
+    pub defense: Option<DefenseConfig>,
+    /// Cycle budget.
+    pub max_cycles: u64,
+    /// How to simulate: detailed, functional, or sampled.
+    pub mode: RunMode,
+    /// Sampled mode: number of evenly spaced checkpoints / windows.
+    pub checkpoints: usize,
+    /// Sampled mode: detailed instructions measured per window.
+    pub window: u64,
+    /// Sampled mode: file the plan's checkpoints in the default
+    /// persistent store.
+    pub store: bool,
+    /// Sampled mode: file checkpoints in a store at this root
+    /// (implies `store`).
+    pub store_root: Option<String>,
+}
+
+/// `condspec save`: serialize a generated benchmark to a program file.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SaveArgs {
+    /// Benchmark name from the suite.
+    pub name: String,
+    /// Output path.
+    pub file: String,
+    /// Outer iterations baked into the program.
+    pub iterations: u64,
+}
+
+/// `condspec trace`: a gadget attack round with pipeline tracing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceArgs {
+    /// Which gadget.
+    pub kind: GadgetKind,
+    /// `None` = Cache-hit + TPBuf.
+    pub defense: Option<DefenseConfig>,
+    /// Maximum events to print.
+    pub events: usize,
+    /// Output format.
+    pub format: TraceFormat,
+    /// Write the trace here instead of stdout.
+    pub out: Option<String>,
+}
+
+/// `condspec timeseries`: a benchmark under the time-series sampler.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimeseriesArgs {
+    /// Benchmark name from the suite.
+    pub name: String,
+    /// `None` = Cache-hit + TPBuf.
+    pub defense: Option<DefenseConfig>,
+    /// Machine preset (boxed: `MachineConfig` dwarfs the other fields).
+    pub machine: Box<MachineConfig>,
+    /// Outer iterations.
+    pub iterations: u64,
+    /// Sample window size in cycles.
+    pub window: u64,
+    /// Maximum sampled rows kept.
+    pub rows: usize,
+    /// Output format.
+    pub format: SeriesFormat,
+    /// Write the series here instead of stdout.
+    pub out: Option<String>,
+}
+
+/// `condspec report`: re-render a finished sweep from its artifacts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReportArgs {
+    /// The sweep directory name under the artifact root.
+    pub sweep_id: String,
+    /// Artifact root; `None` = `target/condspec-runs`.
+    pub root: Option<String>,
+    /// Also resolve artifacts through the default result store.
+    pub store: bool,
+    /// Resolve through a store at this root (implies `store`).
+    pub store_root: Option<String>,
+}
+
+/// `condspec sweep`: a named experiment sweep through the parallel
+/// engine.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepArgs {
+    /// Sweep name (`fig5`, `table4`, `table5`, `table6`, `lru`,
+    /// `icache`, `leaks`).
+    pub name: String,
+    /// Worker threads; 0 = all available cores.
+    pub jobs: usize,
+    /// Skip jobs whose artifacts already exist.
+    pub resume: bool,
+    /// Artifact root; `None` = `target/condspec-runs`.
+    pub root: Option<String>,
+    /// Suppress stderr progress lines.
+    pub quiet: bool,
+    /// Render progress as one live status line instead of one line
+    /// per job.
+    pub progress: bool,
+    /// Write wall-clock telemetry to `telemetry.json` in the sweep
+    /// directory.
+    pub telemetry: bool,
+    /// Consult/fill the default persistent result store.
+    pub store: bool,
+    /// Use a store at this root (implies `store`).
+    pub store_root: Option<String>,
+    /// Override benchmark outer iterations for every job.
+    pub iters: Option<u64>,
+    /// Override benchmark warmup iterations for every job.
+    pub warmup: Option<u64>,
+    /// Shard across this many local worker processes (claim-based
+    /// draining over the store; implies `store`). 1 = no sharding.
+    pub shards: usize,
+    /// Owner id for claim-mode runs; `None` = `shard-<pid>`.
+    pub owner: Option<String>,
+    /// Stale-lease steal timeout in milliseconds (claim mode).
+    pub steal_after_ms: Option<u64>,
+    /// Submit to a running daemon as a distributed sweep and stream
+    /// progress instead of simulating locally.
+    pub attach: Option<String>,
+}
+
+/// `condspec worker`: drain sweep jobs as one shard of a distributed
+/// run — claim over a shared store root, or pull work from a daemon via
+/// `--attach`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkerArgs {
+    /// Sweep name to drain (local store mode; ignored with `--attach`,
+    /// where the daemon names the work).
+    pub sweep: Option<String>,
+    /// Pull work from this daemon address instead of a local store.
+    pub attach: Option<String>,
+    /// Store root; `None` = `target/condspec-store` (or
+    /// `$CONDSPEC_STORE_ROOT`).
+    pub store_root: Option<String>,
+    /// Owner id recorded in leases and provenance; `None` =
+    /// `shard-<pid>`.
+    pub owner: Option<String>,
+    /// Worker threads; 0 = all available cores.
+    pub jobs: usize,
+    /// Stale-lease steal timeout in milliseconds.
+    pub steal_after_ms: Option<u64>,
+    /// Idle poll interval in milliseconds (`--attach` mode).
+    pub poll_ms: u64,
+    /// `--attach` mode: exit when the daemon reports no pending work
+    /// instead of polling forever.
+    pub drain: bool,
+    /// Override benchmark outer iterations for every job (local store
+    /// mode).
+    pub iters: Option<u64>,
+    /// Override benchmark warmup iterations for every job (local store
+    /// mode).
+    pub warmup: Option<u64>,
+}
+
+/// `condspec store`: inspect or maintain the result store offline.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StoreArgs {
+    /// What to do.
+    pub action: StoreAction,
+    /// Store root; `None` = `target/condspec-store` (or
+    /// `$CONDSPEC_STORE_ROOT`).
+    pub root: Option<String>,
+}
+
+/// `condspec serve`: the HTTP daemon.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeArgs {
+    /// Bind address; port 0 asks the OS for an ephemeral port.
+    pub addr: String,
+    /// Worker threads per sweep; 0 = all available cores.
+    pub jobs: usize,
+    /// Artifact root; `None` = `target/condspec-runs`.
+    pub root: Option<String>,
+    /// Store root; `None` = the default root (unless `no_store`).
+    pub store_root: Option<String>,
+    /// Run without a persistent store.
+    pub no_store: bool,
+}
+
+/// `condspec perf`: simulator throughput over the fixed workload matrix.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerfArgs {
+    /// Reduced workload sizes for CI smoke runs.
+    pub quick: bool,
+    /// Machine preset (boxed: `MachineConfig` dwarfs the other fields).
+    pub machine: Box<MachineConfig>,
+    /// Restrict the matrix to `<workload>[:<defense>]`.
+    pub only: Option<CellFilter>,
+    /// Write the JSON document here instead of stdout.
+    pub out: Option<String>,
+    /// Baseline simspeed JSON to diff against; regressions exit
+    /// non-zero (the CI perf guard).
+    pub compare: Option<String>,
+    /// Also run the per-stage microbenchmark suite.
+    pub stages: bool,
+    /// Write the stagespeed JSON document here instead of stdout
+    /// (implies `--stages`).
+    pub stage_out: Option<String>,
+    /// Baseline stagespeed JSON to diff against; regressions exit
+    /// non-zero (implies `--stages`).
+    pub stage_baseline: Option<String>,
+}
+
+/// A parsed command: one variant per subcommand, each carrying its
+/// arguments.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Run one side-channel scenario (or all) against one defense (or all).
-    Attack {
-        /// `None` = all six scenarios.
-        scenario: Option<AttackScenario>,
-        /// `None` = all four environments.
-        defense: Option<DefenseConfig>,
-    },
-    /// Run one Spectre variant end-to-end.
-    Variant {
-        /// Which gadget.
-        kind: GadgetKind,
-        /// `None` = all four environments.
-        defense: Option<DefenseConfig>,
-    },
-    /// Run the taint-oracle leak probes and print the leak matrix.
-    Leaks {
-        /// `None` = the Table IV corpus (v1, v2, v4, rsb).
-        gadget: Option<GadgetKind>,
-        /// `None` = all four environments.
-        defense: Option<DefenseConfig>,
-        /// Restrict the corpus to one conditional-branch gadget and one
-        /// return-stack gadget (v1, rsb) for smoke runs.
-        quick: bool,
-        /// Also write the per-cell JSON documents here.
-        out: Option<String>,
-    },
-    /// Run one calibrated benchmark and print its report.
-    Bench {
-        /// Benchmark name from the suite.
-        name: String,
-        /// `None` = all four environments.
-        defense: Option<DefenseConfig>,
-        /// Machine preset (boxed: `MachineConfig` dwarfs the other variants).
-        machine: Box<MachineConfig>,
-        /// Outer iterations.
-        iterations: u64,
-    },
-    /// Execute a serialized program file.
-    Run {
-        /// Path to a `CONDSPEC` binary program file.
-        file: String,
-        /// `None` = Origin.
-        defense: Option<DefenseConfig>,
-        /// Cycle budget.
-        max_cycles: u64,
-        /// How to simulate: detailed, functional, or sampled.
-        mode: RunMode,
-        /// Sampled mode: number of evenly spaced checkpoints / windows.
-        checkpoints: usize,
-        /// Sampled mode: detailed instructions measured per window.
-        window: u64,
-        /// Sampled mode: file the plan's checkpoints in the default
-        /// persistent store.
-        store: bool,
-        /// Sampled mode: file checkpoints in a store at this root
-        /// (implies `store`).
-        store_root: Option<String>,
-    },
-    /// Serialize a generated benchmark to a program file.
-    Save {
-        /// Benchmark name from the suite.
-        name: String,
-        /// Output path.
-        file: String,
-        /// Outer iterations baked into the program.
-        iterations: u64,
-    },
-    /// Run a gadget attack round with pipeline tracing and dump events.
-    Trace {
-        /// Which gadget.
-        kind: GadgetKind,
-        /// `None` = Cache-hit + TPBuf.
-        defense: Option<DefenseConfig>,
-        /// Maximum events to print.
-        events: usize,
-        /// Output format.
-        format: TraceFormat,
-        /// Write the trace here instead of stdout.
-        out: Option<String>,
-    },
-    /// Run a benchmark with the time-series sampler and dump the series.
-    Timeseries {
-        /// Benchmark name from the suite.
-        name: String,
-        /// `None` = Cache-hit + TPBuf.
-        defense: Option<DefenseConfig>,
-        /// Machine preset (boxed: `MachineConfig` dwarfs the other variants).
-        machine: Box<MachineConfig>,
-        /// Outer iterations.
-        iterations: u64,
-        /// Sample window size in cycles.
-        window: u64,
-        /// Maximum sampled rows kept.
-        rows: usize,
-        /// Output format.
-        format: SeriesFormat,
-        /// Write the series here instead of stdout.
-        out: Option<String>,
-    },
-    /// Re-render a finished sweep from its on-disk artifacts.
-    Report {
-        /// The sweep directory name under the artifact root.
-        sweep_id: String,
-        /// Artifact root; `None` = `target/condspec-runs`.
-        root: Option<String>,
-        /// Also resolve artifacts through the default result store.
-        store: bool,
-        /// Resolve through a store at this root (implies `store`).
-        store_root: Option<String>,
-    },
-    /// Run a named experiment sweep through the parallel engine.
-    Sweep {
-        /// Sweep name (`fig5`, `table4`, `table5`, `table6`, `lru`,
-        /// `icache`).
-        name: String,
-        /// Worker threads; 0 = all available cores.
-        jobs: usize,
-        /// Skip jobs whose artifacts already exist.
-        resume: bool,
-        /// Artifact root; `None` = `target/condspec-runs`.
-        root: Option<String>,
-        /// Suppress stderr progress lines.
-        quiet: bool,
-        /// Render progress as one live status line instead of one line
-        /// per job.
-        progress: bool,
-        /// Write wall-clock telemetry to `telemetry.json` in the sweep
-        /// directory.
-        telemetry: bool,
-        /// Consult/fill the default persistent result store.
-        store: bool,
-        /// Use a store at this root (implies `store`).
-        store_root: Option<String>,
-        /// Override benchmark outer iterations for every job.
-        iters: Option<u64>,
-        /// Override benchmark warmup iterations for every job.
-        warmup: Option<u64>,
-        /// Shard across this many local worker processes (claim-based
-        /// draining over the store; implies `store`). 1 = no sharding.
-        shards: usize,
-        /// Owner id for claim-mode runs; `None` = `shard-<pid>`.
-        owner: Option<String>,
-        /// Stale-lease steal timeout in milliseconds (claim mode).
-        steal_after_ms: Option<u64>,
-        /// Submit to a running daemon as a distributed sweep and stream
-        /// progress instead of simulating locally.
-        attach: Option<String>,
-    },
-    /// Drain sweep jobs as one shard of a distributed run: claim over a
-    /// shared store root, or pull work from a daemon via `--attach`.
-    Worker {
-        /// Sweep name to drain (local store mode; ignored with
-        /// `--attach`, where the daemon names the work).
-        sweep: Option<String>,
-        /// Pull work from this daemon address instead of a local store.
-        attach: Option<String>,
-        /// Store root; `None` = `target/condspec-store` (or
-        /// `$CONDSPEC_STORE_ROOT`).
-        store_root: Option<String>,
-        /// Owner id recorded in leases and provenance; `None` =
-        /// `shard-<pid>`.
-        owner: Option<String>,
-        /// Worker threads; 0 = all available cores.
-        jobs: usize,
-        /// Stale-lease steal timeout in milliseconds.
-        steal_after_ms: Option<u64>,
-        /// Idle poll interval in milliseconds (`--attach` mode).
-        poll_ms: u64,
-        /// `--attach` mode: exit when the daemon reports no pending
-        /// work instead of polling forever.
-        drain: bool,
-        /// Override benchmark outer iterations for every job (local
-        /// store mode).
-        iters: Option<u64>,
-        /// Override benchmark warmup iterations for every job (local
-        /// store mode).
-        warmup: Option<u64>,
-    },
-    /// Inspect or maintain the persistent result store offline.
-    Store {
-        /// What to do.
-        action: StoreAction,
-        /// Store root; `None` = `target/condspec-store` (or
-        /// `$CONDSPEC_STORE_ROOT`).
-        root: Option<String>,
-    },
-    /// Run the HTTP daemon: submit sweeps/jobs, stream progress, fetch
-    /// reports, traces and time series.
-    Serve {
-        /// Bind address; port 0 asks the OS for an ephemeral port.
-        addr: String,
-        /// Worker threads per sweep; 0 = all available cores.
-        jobs: usize,
-        /// Artifact root; `None` = `target/condspec-runs`.
-        root: Option<String>,
-        /// Store root; `None` = the default root (unless `no_store`).
-        store_root: Option<String>,
-        /// Run without a persistent store.
-        no_store: bool,
-    },
-    /// Measure simulator throughput over the fixed workload matrix.
-    Perf {
-        /// Reduced workload sizes for CI smoke runs.
-        quick: bool,
-        /// Machine preset (boxed: `MachineConfig` dwarfs the other variants).
-        machine: Box<MachineConfig>,
-        /// Restrict the matrix to `<workload>[:<defense>]`.
-        only: Option<CellFilter>,
-        /// Write the JSON document here instead of stdout.
-        out: Option<String>,
-        /// Baseline simspeed JSON to diff against; regressions exit
-        /// non-zero (the CI perf guard).
-        compare: Option<String>,
-        /// Also run the per-stage microbenchmark suite.
-        stages: bool,
-        /// Write the stagespeed JSON document here instead of stdout
-        /// (implies `--stages`).
-        stage_out: Option<String>,
-        /// Baseline stagespeed JSON to diff against; regressions exit
-        /// non-zero (implies `--stages`).
-        stage_baseline: Option<String>,
-    },
+    /// `condspec attack`.
+    Attack(AttackArgs),
+    /// `condspec variant`.
+    Variant(VariantArgs),
+    /// `condspec leaks`.
+    Leaks(LeaksArgs),
+    /// `condspec bench`.
+    Bench(BenchArgs),
+    /// `condspec run`.
+    Run(RunArgs),
+    /// `condspec save`.
+    Save(SaveArgs),
+    /// `condspec trace`.
+    Trace(TraceArgs),
+    /// `condspec timeseries`.
+    Timeseries(TimeseriesArgs),
+    /// `condspec report`.
+    Report(ReportArgs),
+    /// `condspec sweep`.
+    Sweep(SweepArgs),
+    /// `condspec worker`.
+    Worker(WorkerArgs),
+    /// `condspec store`.
+    Store(StoreArgs),
+    /// `condspec serve`.
+    Serve(ServeArgs),
+    /// `condspec perf`.
+    Perf(PerfArgs),
     /// List the benchmark suite and machine presets.
     List,
     /// Print usage.
@@ -341,50 +403,6 @@ SWEEPS:    fig5, table4, table5, table6, lru, icache, leaks
             override the store root with $CONDSPEC_STORE_ROOT)
 ";
 
-fn parse_defense(s: &str) -> Result<DefenseConfig, ParseError> {
-    match s {
-        "origin" => Ok(DefenseConfig::Origin),
-        "baseline" => Ok(DefenseConfig::Baseline),
-        "cache-hit" | "cachehit" => Ok(DefenseConfig::CacheHit),
-        "cache-hit-tpbuf" | "tpbuf" => Ok(DefenseConfig::CacheHitTpbuf),
-        other => Err(ParseError(format!("unknown defense `{other}`"))),
-    }
-}
-
-fn parse_scenario(s: &str) -> Result<AttackScenario, ParseError> {
-    match s {
-        "flush-reload" => Ok(AttackScenario::FlushReloadShared),
-        "flush-flush" => Ok(AttackScenario::FlushFlushShared),
-        "evict-reload" => Ok(AttackScenario::EvictReloadShared),
-        "prime-probe" => Ok(AttackScenario::PrimeProbeShared),
-        "prime-probe-noshare" => Ok(AttackScenario::PrimeProbeNoShare),
-        "evict-time" => Ok(AttackScenario::EvictTimeNoShare),
-        other => Err(ParseError(format!("unknown scenario `{other}`"))),
-    }
-}
-
-fn parse_kind(s: &str) -> Result<GadgetKind, ParseError> {
-    match s {
-        "v1" => Ok(GadgetKind::V1),
-        "v2" => Ok(GadgetKind::V2),
-        "v4" => Ok(GadgetKind::V4),
-        "v1-same-page" => Ok(GadgetKind::V1SamePage),
-        "v1-set-stride" => Ok(GadgetKind::V1SetStride),
-        "rsb" => Ok(GadgetKind::Rsb),
-        other => Err(ParseError(format!("unknown variant `{other}`"))),
-    }
-}
-
-fn parse_machine(s: &str) -> Result<MachineConfig, ParseError> {
-    match s {
-        "paper-default" | "paper" => Ok(MachineConfig::paper_default()),
-        "a57" => Ok(MachineConfig::a57_like()),
-        "i7" => Ok(MachineConfig::i7_like()),
-        "xeon" => Ok(MachineConfig::xeon_like()),
-        other => Err(ParseError(format!("unknown machine `{other}`"))),
-    }
-}
-
 /// Pulls a boolean `--flag` out of `args`, returning whether it was
 /// present.
 fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
@@ -410,6 +428,66 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Parse
     }
 }
 
+/// Pulls the value of `--flag` out of `args` and parses it as a `T`.
+fn take_parsed<T: FromStr>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, ParseError> {
+    take_flag(args, flag)?
+        .map(|s| {
+            s.parse()
+                .map_err(|_| ParseError(format!("bad {flag} `{s}`")))
+        })
+        .transpose()
+}
+
+/// Pulls the value of `--flag` out of `args` and looks it up in a name
+/// table (`what` names the table in the error).
+fn take_key<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    what: &str,
+    from_key: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, ParseError> {
+    take_flag(args, flag)?
+        .map(|s| from_key(&s).ok_or_else(|| ParseError(format!("unknown {what} `{s}`"))))
+        .transpose()
+}
+
+/// `--defense <name>`.
+fn take_defense(args: &mut Vec<String>) -> Result<Option<DefenseConfig>, ParseError> {
+    take_key(args, "--defense", "defense", DefenseConfig::from_key)
+}
+
+/// `--machine <name>`, defaulting to the paper's machine.
+fn take_machine(args: &mut Vec<String>) -> Result<Box<MachineConfig>, ParseError> {
+    let preset = take_key(args, "--machine", "machine", MachinePreset::from_key)?;
+    Ok(Box::new(
+        preset.unwrap_or(MachinePreset::PaperDefault).config(),
+    ))
+}
+
+/// Pulls a leading positional argument (one not starting with `--`).
+fn take_positional(args: &mut Vec<String>) -> Option<String> {
+    match args.first() {
+        Some(first) if !first.starts_with("--") => Some(args.remove(0)),
+        _ => None,
+    }
+}
+
+/// A mandatory value: `message` is the error when it is missing.
+fn required<T>(value: Option<T>, message: &str) -> Result<T, ParseError> {
+    value.ok_or_else(|| ParseError(message.to_string()))
+}
+
+/// Rejects an explicit zero for a count that must be positive.
+fn positive<T: Default + PartialEq>(
+    value: Option<T>,
+    message: &str,
+) -> Result<Option<T>, ParseError> {
+    if value == Some(T::default()) {
+        return Err(ParseError(message.to_string()));
+    }
+    Ok(value)
+}
+
 /// Parses a full argument vector (without the program name).
 ///
 /// # Errors
@@ -420,91 +498,47 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let Some((command, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    let mut rest: Vec<String> = rest.to_vec();
+    let rest = &mut rest.to_vec();
     let parsed = match command.as_str() {
-        "attack" => {
-            let scenario = take_flag(&mut rest, "--scenario")?
-                .map(|s| parse_scenario(&s))
-                .transpose()?;
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
-            Command::Attack { scenario, defense }
-        }
-        "variant" => {
-            let kind = take_flag(&mut rest, "--kind")?
-                .ok_or_else(|| ParseError("variant requires --kind".into()))?;
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
-            Command::Variant {
-                kind: parse_kind(&kind)?,
-                defense,
-            }
-        }
+        "attack" => Command::Attack(AttackArgs {
+            scenario: take_key(rest, "--scenario", "scenario", AttackScenario::from_key)?,
+            defense: take_defense(rest)?,
+        }),
+        "variant" => Command::Variant(VariantArgs {
+            kind: required(
+                take_key(rest, "--kind", "variant", GadgetKind::from_key)?,
+                "variant requires --kind",
+            )?,
+            defense: take_defense(rest)?,
+        }),
         "leaks" => {
-            let gadget = take_flag(&mut rest, "--gadget")?
-                .map(|s| parse_kind(&s))
-                .transpose()?;
-            let all = take_switch(&mut rest, "--all");
-            let quick = take_switch(&mut rest, "--quick");
+            let gadget = take_key(rest, "--gadget", "variant", GadgetKind::from_key)?;
+            let all = take_switch(rest, "--all");
+            let quick = take_switch(rest, "--quick");
             if gadget.is_some() && (all || quick) {
                 return Err(ParseError("--gadget conflicts with --all/--quick".into()));
             }
             if all && quick {
                 return Err(ParseError("--all conflicts with --quick".into()));
             }
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
-            let out = take_flag(&mut rest, "--out")?;
-            Command::Leaks {
+            Command::Leaks(LeaksArgs {
                 gadget,
-                defense,
+                defense: take_defense(rest)?,
                 quick,
-                out,
-            }
+                out: take_flag(rest, "--out")?,
+            })
         }
-        "bench" => {
-            let name = take_flag(&mut rest, "--name")?
-                .ok_or_else(|| ParseError("bench requires --name".into()))?;
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
-            let machine = Box::new(
-                take_flag(&mut rest, "--machine")?
-                    .map(|s| parse_machine(&s))
-                    .transpose()?
-                    .unwrap_or_else(MachineConfig::paper_default),
-            );
-            let iterations = take_flag(&mut rest, "--iters")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --iters `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(25);
-            Command::Bench {
-                name,
-                defense,
-                machine,
-                iterations,
-            }
-        }
+        "bench" => Command::Bench(BenchArgs {
+            name: required(take_flag(rest, "--name")?, "bench requires --name")?,
+            defense: take_defense(rest)?,
+            machine: take_machine(rest)?,
+            iterations: take_parsed(rest, "--iters")?.unwrap_or(25),
+        }),
         "run" => {
-            let file = take_flag(&mut rest, "--file")?
-                .ok_or_else(|| ParseError("run requires --file".into()))?;
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
-            let max_cycles = take_flag(&mut rest, "--max-cycles")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --max-cycles `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(100_000_000);
-            let mode = match take_flag(&mut rest, "--mode")?.as_deref() {
+            let file = required(take_flag(rest, "--file")?, "run requires --file")?;
+            let defense = take_defense(rest)?;
+            let max_cycles = take_parsed(rest, "--max-cycles")?.unwrap_or(100_000_000);
+            let mode = match take_flag(rest, "--mode")?.as_deref() {
                 None | Some("detailed") => RunMode::Detailed,
                 Some("functional") => RunMode::Functional,
                 Some("sampled") => RunMode::Sampled,
@@ -514,26 +548,16 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     )));
                 }
             };
-            let checkpoints = take_flag(&mut rest, "--checkpoints")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --checkpoints `{s}`")))
-                })
-                .transpose()?;
-            if checkpoints == Some(0) {
-                return Err(ParseError("--checkpoints must be at least 1".into()));
-            }
-            let window = take_flag(&mut rest, "--window")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --window `{s}`")))
-                })
-                .transpose()?;
-            if window == Some(0) {
-                return Err(ParseError("--window must be at least 1 instruction".into()));
-            }
-            let store = take_switch(&mut rest, "--store");
-            let store_root = take_flag(&mut rest, "--store-root")?;
+            let checkpoints = positive(
+                take_parsed(rest, "--checkpoints")?,
+                "--checkpoints must be at least 1",
+            )?;
+            let window = positive(
+                take_parsed(rest, "--window")?,
+                "--window must be at least 1 instruction",
+            )?;
+            let store = take_switch(rest, "--store");
+            let store_root = take_flag(rest, "--store-root")?;
             if mode != RunMode::Sampled
                 && (checkpoints.is_some() || window.is_some() || store || store_root.is_some())
             {
@@ -541,7 +565,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "--checkpoints/--window/--store only apply to --mode sampled".into(),
                 ));
             }
-            Command::Run {
+            Command::Run(RunArgs {
                 file,
                 defense,
                 max_cycles,
@@ -550,337 +574,162 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 window: window.unwrap_or(condspec::DEFAULT_WINDOW),
                 store,
                 store_root,
-            }
+            })
         }
-        "save" => {
-            let name = take_flag(&mut rest, "--name")?
-                .ok_or_else(|| ParseError("save requires --name".into()))?;
-            let file = take_flag(&mut rest, "--file")?
-                .ok_or_else(|| ParseError("save requires --file".into()))?;
-            let iterations = take_flag(&mut rest, "--iters")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --iters `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(25);
-            Command::Save {
-                name,
-                file,
-                iterations,
-            }
-        }
-        "trace" => {
-            let kind = take_flag(&mut rest, "--kind")?
-                .ok_or_else(|| ParseError("trace requires --kind".into()))?;
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
-            let events = take_flag(&mut rest, "--events")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --events `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(120);
-            let format = match take_flag(&mut rest, "--format")?.as_deref() {
-                None | Some("text") => TraceFormat::Text,
-                Some("perfetto") | Some("chrome") => TraceFormat::Perfetto,
-                Some(other) => {
-                    return Err(ParseError(format!("unknown trace format `{other}`")));
-                }
-            };
-            let out = take_flag(&mut rest, "--out")?;
-            Command::Trace {
-                kind: parse_kind(&kind)?,
-                defense,
-                events,
-                format,
-                out,
-            }
-        }
-        "timeseries" => {
-            let name = take_flag(&mut rest, "--name")?
-                .ok_or_else(|| ParseError("timeseries requires --name".into()))?;
-            let defense = take_flag(&mut rest, "--defense")?
-                .map(|s| parse_defense(&s))
-                .transpose()?;
-            let machine = Box::new(
-                take_flag(&mut rest, "--machine")?
-                    .map(|s| parse_machine(&s))
-                    .transpose()?
-                    .unwrap_or_else(MachineConfig::paper_default),
-            );
-            let iterations = take_flag(&mut rest, "--iters")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --iters `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(25);
-            let window = take_flag(&mut rest, "--window")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --window `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(10_000);
-            if window == 0 {
-                return Err(ParseError("--window must be at least 1 cycle".into()));
-            }
-            let rows = take_flag(&mut rest, "--rows")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --rows `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(4096);
-            if rows == 0 {
-                return Err(ParseError("--rows must be at least 1".into()));
-            }
-            let format = match take_flag(&mut rest, "--format")?.as_deref() {
-                None | Some("json") => SeriesFormat::Json,
-                Some("csv") => SeriesFormat::Csv,
-                Some(other) => {
-                    return Err(ParseError(format!("unknown series format `{other}`")));
-                }
-            };
-            let out = take_flag(&mut rest, "--out")?;
-            Command::Timeseries {
-                name,
-                defense,
-                machine,
-                iterations,
-                window,
-                rows,
-                format,
-                out,
-            }
-        }
-        "report" => {
-            let sweep_id = match rest.first() {
-                Some(first) if !first.starts_with("--") => rest.remove(0),
-                _ => return Err(ParseError("report requires a sweep id".into())),
-            };
-            let root = take_flag(&mut rest, "--root")?;
-            let store = take_switch(&mut rest, "--store");
-            let store_root = take_flag(&mut rest, "--store-root")?;
-            Command::Report {
-                sweep_id,
-                root,
-                store,
-                store_root,
-            }
-        }
+        "save" => Command::Save(SaveArgs {
+            name: required(take_flag(rest, "--name")?, "save requires --name")?,
+            file: required(take_flag(rest, "--file")?, "save requires --file")?,
+            iterations: take_parsed(rest, "--iters")?.unwrap_or(25),
+        }),
+        "trace" => Command::Trace(TraceArgs {
+            kind: required(
+                take_key(rest, "--kind", "variant", GadgetKind::from_key)?,
+                "trace requires --kind",
+            )?,
+            defense: take_defense(rest)?,
+            events: take_parsed(rest, "--events")?.unwrap_or(120),
+            format: take_key(rest, "--format", "trace format", |s| match s {
+                "text" => Some(TraceFormat::Text),
+                "perfetto" | "chrome" => Some(TraceFormat::Perfetto),
+                _ => None,
+            })?
+            .unwrap_or(TraceFormat::Text),
+            out: take_flag(rest, "--out")?,
+        }),
+        "timeseries" => Command::Timeseries(TimeseriesArgs {
+            name: required(take_flag(rest, "--name")?, "timeseries requires --name")?,
+            defense: take_defense(rest)?,
+            machine: take_machine(rest)?,
+            iterations: take_parsed(rest, "--iters")?.unwrap_or(25),
+            window: positive(
+                take_parsed(rest, "--window")?,
+                "--window must be at least 1 cycle",
+            )?
+            .unwrap_or(10_000),
+            rows: positive(take_parsed(rest, "--rows")?, "--rows must be at least 1")?
+                .unwrap_or(4096),
+            format: take_key(rest, "--format", "series format", |s| match s {
+                "json" => Some(SeriesFormat::Json),
+                "csv" => Some(SeriesFormat::Csv),
+                _ => None,
+            })?
+            .unwrap_or(SeriesFormat::Json),
+            out: take_flag(rest, "--out")?,
+        }),
+        "report" => Command::Report(ReportArgs {
+            sweep_id: required(take_positional(rest), "report requires a sweep id")?,
+            root: take_flag(rest, "--root")?,
+            store: take_switch(rest, "--store"),
+            store_root: take_flag(rest, "--store-root")?,
+        }),
         "sweep" => {
-            let name = match rest.first() {
-                Some(first) if !first.starts_with("--") => rest.remove(0),
-                _ => return Err(ParseError("sweep requires a sweep name".into())),
+            let args = SweepArgs {
+                name: required(take_positional(rest), "sweep requires a sweep name")?,
+                jobs: take_parsed(rest, "--jobs")?.unwrap_or(0),
+                resume: take_switch(rest, "--resume"),
+                quiet: take_switch(rest, "--quiet"),
+                progress: take_switch(rest, "--progress"),
+                telemetry: take_switch(rest, "--telemetry"),
+                root: take_flag(rest, "--root")?,
+                store: take_switch(rest, "--store"),
+                store_root: take_flag(rest, "--store-root")?,
+                iters: positive(take_parsed(rest, "--iters")?, "--iters must be at least 1")?,
+                warmup: take_parsed(rest, "--warmup")?,
+                shards: positive(
+                    take_parsed(rest, "--shards")?,
+                    "--shards must be at least 1",
+                )?
+                .unwrap_or(1),
+                owner: take_flag(rest, "--owner")?,
+                steal_after_ms: positive(
+                    take_parsed(rest, "--steal-after-ms")?,
+                    "--steal-after-ms must be at least 1",
+                )?,
+                attach: take_flag(rest, "--attach")?,
             };
-            let jobs = take_flag(&mut rest, "--jobs")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --jobs `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(0);
-            let resume = take_switch(&mut rest, "--resume");
-            let quiet = take_switch(&mut rest, "--quiet");
-            let progress = take_switch(&mut rest, "--progress");
-            let telemetry = take_switch(&mut rest, "--telemetry");
-            let root = take_flag(&mut rest, "--root")?;
-            let store = take_switch(&mut rest, "--store");
-            let store_root = take_flag(&mut rest, "--store-root")?;
-            let iters = take_flag(&mut rest, "--iters")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --iters `{s}`")))
-                })
-                .transpose()?;
-            if iters == Some(0) {
-                return Err(ParseError("--iters must be at least 1".into()));
-            }
-            let warmup = take_flag(&mut rest, "--warmup")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --warmup `{s}`")))
-                })
-                .transpose()?;
-            let shards = take_flag(&mut rest, "--shards")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --shards `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(1);
-            if shards == 0 {
-                return Err(ParseError("--shards must be at least 1".into()));
-            }
-            let owner = take_flag(&mut rest, "--owner")?;
-            let steal_after_ms = take_flag(&mut rest, "--steal-after-ms")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --steal-after-ms `{s}`")))
-                })
-                .transpose()?;
-            if steal_after_ms == Some(0) {
-                return Err(ParseError("--steal-after-ms must be at least 1".into()));
-            }
-            let attach = take_flag(&mut rest, "--attach")?;
-            if attach.is_some() && shards > 1 {
+            if args.attach.is_some() && args.shards > 1 {
                 return Err(ParseError("--attach conflicts with --shards".into()));
             }
-            Command::Sweep {
-                name,
-                jobs,
-                resume,
-                root,
-                quiet,
-                progress,
-                telemetry,
-                store,
-                store_root,
-                iters,
-                warmup,
-                shards,
-                owner,
-                steal_after_ms,
-                attach,
-            }
+            Command::Sweep(args)
         }
         "worker" => {
-            let sweep = match rest.first() {
-                Some(first) if !first.starts_with("--") => Some(rest.remove(0)),
-                _ => None,
-            };
-            let attach = take_flag(&mut rest, "--attach")?;
+            let sweep = take_positional(rest);
+            let attach = take_flag(rest, "--attach")?;
             if sweep.is_none() && attach.is_none() {
                 return Err(ParseError(
                     "worker requires a sweep name (store mode) or --attach <host:port>".into(),
                 ));
             }
-            let store_root = take_flag(&mut rest, "--store-root")?;
-            let owner = take_flag(&mut rest, "--owner")?;
-            let jobs = take_flag(&mut rest, "--jobs")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --jobs `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(0);
-            let steal_after_ms = take_flag(&mut rest, "--steal-after-ms")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --steal-after-ms `{s}`")))
-                })
-                .transpose()?;
-            if steal_after_ms == Some(0) {
-                return Err(ParseError("--steal-after-ms must be at least 1".into()));
-            }
-            let poll_ms = take_flag(&mut rest, "--poll-ms")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --poll-ms `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(200);
-            let drain = take_switch(&mut rest, "--drain");
-            let iters = take_flag(&mut rest, "--iters")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --iters `{s}`")))
-                })
-                .transpose()?;
-            if iters == Some(0) {
-                return Err(ParseError("--iters must be at least 1".into()));
-            }
-            let warmup = take_flag(&mut rest, "--warmup")?
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|_| ParseError(format!("bad --warmup `{s}`")))
-                })
-                .transpose()?;
-            Command::Worker {
+            Command::Worker(WorkerArgs {
                 sweep,
                 attach,
-                store_root,
-                owner,
-                jobs,
-                steal_after_ms,
-                poll_ms,
-                drain,
-                iters,
-                warmup,
-            }
+                store_root: take_flag(rest, "--store-root")?,
+                owner: take_flag(rest, "--owner")?,
+                jobs: take_parsed(rest, "--jobs")?.unwrap_or(0),
+                steal_after_ms: positive(
+                    take_parsed(rest, "--steal-after-ms")?,
+                    "--steal-after-ms must be at least 1",
+                )?,
+                poll_ms: take_parsed(rest, "--poll-ms")?.unwrap_or(200),
+                drain: take_switch(rest, "--drain"),
+                iters: positive(take_parsed(rest, "--iters")?, "--iters must be at least 1")?,
+                warmup: take_parsed(rest, "--warmup")?,
+            })
         }
         "store" => {
-            let action = match rest.first().map(String::as_str) {
+            let action = match take_positional(rest).as_deref() {
                 Some("stats") => StoreAction::Stats,
                 Some("gc") => StoreAction::Gc,
                 Some("verify") => StoreAction::Verify,
-                Some(other) if !other.starts_with("--") => {
+                Some(other) => {
                     return Err(ParseError(format!("unknown store action `{other}`")));
                 }
-                _ => {
+                None => {
                     return Err(ParseError(
                         "store requires an action: stats, gc or verify".into(),
                     ));
                 }
             };
-            rest.remove(0);
-            let root = take_flag(&mut rest, "--root")?;
-            Command::Store { action, root }
+            Command::Store(StoreArgs {
+                action,
+                root: take_flag(rest, "--root")?,
+            })
         }
         "serve" => {
-            let addr = take_flag(&mut rest, "--addr")?
-                .unwrap_or_else(|| condspec_serve::DEFAULT_ADDR.to_string());
-            let jobs = take_flag(&mut rest, "--jobs")?
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("bad --jobs `{s}`")))
-                })
-                .transpose()?
-                .unwrap_or(0);
-            let root = take_flag(&mut rest, "--root")?;
-            let store_root = take_flag(&mut rest, "--store-root")?;
-            let no_store = take_switch(&mut rest, "--no-store");
-            if no_store && store_root.is_some() {
+            let args = ServeArgs {
+                addr: take_flag(rest, "--addr")?
+                    .unwrap_or_else(|| condspec_serve::DEFAULT_ADDR.to_string()),
+                jobs: take_parsed(rest, "--jobs")?.unwrap_or(0),
+                root: take_flag(rest, "--root")?,
+                store_root: take_flag(rest, "--store-root")?,
+                no_store: take_switch(rest, "--no-store"),
+            };
+            if args.no_store && args.store_root.is_some() {
                 return Err(ParseError("--no-store conflicts with --store-root".into()));
             }
-            Command::Serve {
-                addr,
-                jobs,
-                root,
-                store_root,
-                no_store,
-            }
+            Command::Serve(args)
         }
         "perf" => {
-            let quick = take_switch(&mut rest, "--quick");
-            let machine = Box::new(
-                take_flag(&mut rest, "--machine")?
-                    .map(|s| parse_machine(&s))
-                    .transpose()?
-                    .unwrap_or_else(MachineConfig::paper_default),
-            );
-            let only = take_flag(&mut rest, "--only")?
+            let quick = take_switch(rest, "--quick");
+            let machine = take_machine(rest)?;
+            let only = take_flag(rest, "--only")?
                 .map(|s| CellFilter::parse(&s).map_err(ParseError))
                 .transpose()?;
-            let out = take_flag(&mut rest, "--out")?;
-            let compare = take_flag(&mut rest, "--compare")?;
-            let stages_switch = take_switch(&mut rest, "--stages");
-            let stage_out = take_flag(&mut rest, "--stage-out")?;
-            let stage_baseline = take_flag(&mut rest, "--stage-baseline")?;
-            Command::Perf {
+            let out = take_flag(rest, "--out")?;
+            let compare = take_flag(rest, "--compare")?;
+            let stages = take_switch(rest, "--stages");
+            let stage_out = take_flag(rest, "--stage-out")?;
+            let stage_baseline = take_flag(rest, "--stage-baseline")?;
+            Command::Perf(PerfArgs {
                 quick,
                 machine,
                 only,
                 out,
                 compare,
-                stages: stages_switch || stage_out.is_some() || stage_baseline.is_some(),
+                stages: stages || stage_out.is_some() || stage_baseline.is_some(),
                 stage_out,
                 stage_baseline,
-            }
+            })
         }
         "list" => Command::List,
         "help" | "--help" | "-h" => Command::Help,
@@ -912,10 +761,10 @@ mod tests {
     fn attack_defaults_to_full_sweep() {
         assert_eq!(
             parse(&argv("attack")).unwrap(),
-            Command::Attack {
+            Command::Attack(AttackArgs {
                 scenario: None,
                 defense: None
-            }
+            })
         );
     }
 
@@ -923,10 +772,10 @@ mod tests {
     fn attack_with_flags() {
         assert_eq!(
             parse(&argv("attack --scenario flush-reload --defense origin")).unwrap(),
-            Command::Attack {
+            Command::Attack(AttackArgs {
                 scenario: Some(AttackScenario::FlushReloadShared),
                 defense: Some(DefenseConfig::Origin),
-            }
+            })
         );
     }
 
@@ -935,10 +784,10 @@ mod tests {
         assert!(parse(&argv("variant")).is_err());
         assert_eq!(
             parse(&argv("variant --kind v4 --defense baseline")).unwrap(),
-            Command::Variant {
+            Command::Variant(VariantArgs {
                 kind: GadgetKind::V4,
                 defense: Some(DefenseConfig::Baseline)
-            }
+            })
         );
     }
 
@@ -946,12 +795,12 @@ mod tests {
     fn leaks_defaults_to_full_matrix() {
         assert_eq!(
             parse(&argv("leaks")).unwrap(),
-            Command::Leaks {
+            Command::Leaks(LeaksArgs {
                 gadget: None,
                 defense: None,
                 quick: false,
                 out: None,
-            }
+            })
         );
         assert_eq!(
             parse(&argv("leaks --all")).unwrap(),
@@ -963,21 +812,21 @@ mod tests {
     fn leaks_with_flags() {
         assert_eq!(
             parse(&argv("leaks --gadget rsb --defense cache-hit --out m.json")).unwrap(),
-            Command::Leaks {
+            Command::Leaks(LeaksArgs {
                 gadget: Some(GadgetKind::Rsb),
                 defense: Some(DefenseConfig::CacheHit),
                 quick: false,
                 out: Some("m.json".into()),
-            }
+            })
         );
         assert_eq!(
             parse(&argv("leaks --quick")).unwrap(),
-            Command::Leaks {
+            Command::Leaks(LeaksArgs {
                 gadget: None,
                 defense: None,
                 quick: true,
                 out: None,
-            }
+            })
         );
     }
 
@@ -995,12 +844,12 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Bench {
+            Command::Bench(BenchArgs {
                 name,
                 defense,
                 machine,
                 iterations,
-            } => {
+            }) => {
                 assert_eq!(name, "lbm");
                 assert_eq!(defense, Some(DefenseConfig::CacheHitTpbuf));
                 assert_eq!(machine.name, "I7-like");
@@ -1013,7 +862,7 @@ mod tests {
     #[test]
     fn run_and_save_parse() {
         match parse(&argv("run --file p.bin --defense origin --max-cycles 99")).unwrap() {
-            Command::Run {
+            Command::Run(RunArgs {
                 file,
                 defense,
                 max_cycles,
@@ -1022,7 +871,7 @@ mod tests {
                 window,
                 store,
                 store_root,
-            } => {
+            }) => {
                 assert_eq!(file, "p.bin");
                 assert_eq!(defense, Some(DefenseConfig::Origin));
                 assert_eq!(max_cycles, 99);
@@ -1035,11 +884,11 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv("save --name gcc --file out.bin")).unwrap() {
-            Command::Save {
+            Command::Save(SaveArgs {
                 name,
                 file,
                 iterations,
-            } => {
+            }) => {
                 assert_eq!(name, "gcc");
                 assert_eq!(file, "out.bin");
                 assert_eq!(iterations, 25);
@@ -1053,7 +902,7 @@ mod tests {
     #[test]
     fn run_modes_parse() {
         match parse(&argv("run --file p.bin --mode functional")).unwrap() {
-            Command::Run { mode, .. } => assert_eq!(mode, RunMode::Functional),
+            Command::Run(RunArgs { mode, .. }) => assert_eq!(mode, RunMode::Functional),
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv(
@@ -1062,13 +911,13 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Run {
+            Command::Run(RunArgs {
                 mode,
                 checkpoints,
                 window,
                 store_root,
                 ..
-            } => {
+            }) => {
                 assert_eq!(mode, RunMode::Sampled);
                 assert_eq!(checkpoints, 4);
                 assert_eq!(window, 5000);
@@ -1092,13 +941,13 @@ mod tests {
     #[test]
     fn trace_parses() {
         match parse(&argv("trace --kind v1 --events 10")).unwrap() {
-            Command::Trace {
+            Command::Trace(TraceArgs {
                 kind,
                 defense,
                 events,
                 format,
                 out,
-            } => {
+            }) => {
                 assert_eq!(kind, GadgetKind::V1);
                 assert_eq!(defense, None);
                 assert_eq!(events, 10);
@@ -1108,7 +957,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv("trace --kind v2 --format perfetto --out t.json")).unwrap() {
-            Command::Trace { format, out, .. } => {
+            Command::Trace(TraceArgs { format, out, .. }) => {
                 assert_eq!(format, TraceFormat::Perfetto);
                 assert_eq!(out, Some("t.json".to_string()));
             }
@@ -1120,7 +969,7 @@ mod tests {
     #[test]
     fn timeseries_parses() {
         match parse(&argv("timeseries --name gcc")).unwrap() {
-            Command::Timeseries {
+            Command::Timeseries(TimeseriesArgs {
                 name,
                 defense,
                 iterations,
@@ -1129,7 +978,7 @@ mod tests {
                 format,
                 out,
                 ..
-            } => {
+            }) => {
                 assert_eq!(name, "gcc");
                 assert_eq!(defense, None);
                 assert_eq!(iterations, 25);
@@ -1146,7 +995,7 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Timeseries {
+            Command::Timeseries(TimeseriesArgs {
                 name,
                 defense,
                 machine,
@@ -1155,7 +1004,7 @@ mod tests {
                 rows,
                 format,
                 out,
-            } => {
+            }) => {
                 assert_eq!(name, "lbm");
                 assert_eq!(defense, Some(DefenseConfig::Origin));
                 assert_eq!(machine.name, "I7-like");
@@ -1177,24 +1026,24 @@ mod tests {
     fn report_parses() {
         assert_eq!(
             parse(&argv("report fig5-0123abcd")).unwrap(),
-            Command::Report {
+            Command::Report(ReportArgs {
                 sweep_id: "fig5-0123abcd".to_string(),
                 root: None,
                 store: false,
                 store_root: None
-            }
+            })
         );
         assert_eq!(
             parse(&argv(
                 "report fig5-0123abcd --root /tmp/runs --store-root /tmp/store"
             ))
             .unwrap(),
-            Command::Report {
+            Command::Report(ReportArgs {
                 sweep_id: "fig5-0123abcd".to_string(),
                 root: Some("/tmp/runs".to_string()),
                 store: false,
                 store_root: Some("/tmp/store".to_string())
-            }
+            })
         );
         assert!(parse(&argv("report")).is_err(), "report needs a sweep id");
         assert!(parse(&argv("report --root /tmp")).is_err());
@@ -1204,7 +1053,7 @@ mod tests {
     fn sweep_parses() {
         assert_eq!(
             parse(&argv("sweep fig5")).unwrap(),
-            Command::Sweep {
+            Command::Sweep(SweepArgs {
                 name: "fig5".to_string(),
                 jobs: 0,
                 resume: false,
@@ -1220,14 +1069,14 @@ mod tests {
                 owner: None,
                 steal_after_ms: None,
                 attach: None
-            }
+            })
         );
         assert_eq!(
             parse(&argv(
                 "sweep table4 --jobs 8 --resume --root /tmp/runs --quiet --progress --telemetry"
             ))
             .unwrap(),
-            Command::Sweep {
+            Command::Sweep(SweepArgs {
                 name: "table4".to_string(),
                 jobs: 8,
                 resume: true,
@@ -1243,7 +1092,7 @@ mod tests {
                 owner: None,
                 steal_after_ms: None,
                 attach: None
-            }
+            })
         );
         assert!(parse(&argv("sweep")).is_err(), "sweep needs a name");
         assert!(
@@ -1261,13 +1110,13 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Sweep {
+            Command::Sweep(SweepArgs {
                 store,
                 store_root,
                 iters,
                 warmup,
                 ..
-            } => {
+            }) => {
                 assert!(store);
                 assert_eq!(store_root, Some("/tmp/store".to_string()));
                 assert_eq!(iters, Some(2));
@@ -1287,13 +1136,13 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Sweep {
+            Command::Sweep(SweepArgs {
                 shards,
                 owner,
                 steal_after_ms,
                 attach,
                 ..
-            } => {
+            }) => {
                 assert_eq!(shards, 4);
                 assert_eq!(owner, Some("shard-a".to_string()));
                 assert_eq!(steal_after_ms, Some(500));
@@ -1302,7 +1151,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv("sweep leaks --attach 127.0.0.1:7877")).unwrap() {
-            Command::Sweep { attach, shards, .. } => {
+            Command::Sweep(SweepArgs { attach, shards, .. }) => {
                 assert_eq!(attach, Some("127.0.0.1:7877".to_string()));
                 assert_eq!(shards, 1);
             }
@@ -1321,7 +1170,7 @@ mod tests {
     fn worker_parses() {
         assert_eq!(
             parse(&argv("worker fig5 --store-root /tmp/s --owner w1 --jobs 2")).unwrap(),
-            Command::Worker {
+            Command::Worker(WorkerArgs {
                 sweep: Some("fig5".to_string()),
                 attach: None,
                 store_root: Some("/tmp/s".to_string()),
@@ -1332,11 +1181,11 @@ mod tests {
                 drain: false,
                 iters: None,
                 warmup: None,
-            }
+            })
         );
         assert_eq!(
             parse(&argv("worker --attach 127.0.0.1:7877 --poll-ms 50 --drain")).unwrap(),
-            Command::Worker {
+            Command::Worker(WorkerArgs {
                 sweep: None,
                 attach: Some("127.0.0.1:7877".to_string()),
                 store_root: None,
@@ -1347,19 +1196,19 @@ mod tests {
                 drain: true,
                 iters: None,
                 warmup: None,
-            }
+            })
         );
         match parse(&argv(
             "worker fig5 --steal-after-ms 250 --iters 2 --warmup 1",
         ))
         .unwrap()
         {
-            Command::Worker {
+            Command::Worker(WorkerArgs {
                 steal_after_ms,
                 iters,
                 warmup,
                 ..
-            } => {
+            }) => {
                 assert_eq!(steal_after_ms, Some(250));
                 assert_eq!(iters, Some(2));
                 assert_eq!(warmup, Some(1));
@@ -1379,24 +1228,24 @@ mod tests {
     fn store_parses() {
         assert_eq!(
             parse(&argv("store stats")).unwrap(),
-            Command::Store {
+            Command::Store(StoreArgs {
                 action: StoreAction::Stats,
                 root: None
-            }
+            })
         );
         assert_eq!(
             parse(&argv("store gc --root /tmp/store")).unwrap(),
-            Command::Store {
+            Command::Store(StoreArgs {
                 action: StoreAction::Gc,
                 root: Some("/tmp/store".to_string())
-            }
+            })
         );
         assert_eq!(
             parse(&argv("store verify")).unwrap(),
-            Command::Store {
+            Command::Store(StoreArgs {
                 action: StoreAction::Verify,
                 root: None
-            }
+            })
         );
         assert!(parse(&argv("store")).is_err(), "store needs an action");
         assert!(parse(&argv("store prune")).is_err(), "unknown action");
@@ -1408,36 +1257,36 @@ mod tests {
     fn serve_parses() {
         assert_eq!(
             parse(&argv("serve")).unwrap(),
-            Command::Serve {
+            Command::Serve(ServeArgs {
                 addr: condspec_serve::DEFAULT_ADDR.to_string(),
                 jobs: 0,
                 root: None,
                 store_root: None,
                 no_store: false
-            }
+            })
         );
         assert_eq!(
             parse(&argv(
                 "serve --addr 127.0.0.1:0 --jobs 4 --root /tmp/runs --store-root /tmp/store"
             ))
             .unwrap(),
-            Command::Serve {
+            Command::Serve(ServeArgs {
                 addr: "127.0.0.1:0".to_string(),
                 jobs: 4,
                 root: Some("/tmp/runs".to_string()),
                 store_root: Some("/tmp/store".to_string()),
                 no_store: false
-            }
+            })
         );
         assert_eq!(
             parse(&argv("serve --no-store")).unwrap(),
-            Command::Serve {
+            Command::Serve(ServeArgs {
                 addr: condspec_serve::DEFAULT_ADDR.to_string(),
                 jobs: 0,
                 root: None,
                 store_root: None,
                 no_store: true
-            }
+            })
         );
         assert!(
             parse(&argv("serve --no-store --store-root /tmp")).is_err(),
@@ -1449,7 +1298,7 @@ mod tests {
     #[test]
     fn perf_parses() {
         match parse(&argv("perf")).unwrap() {
-            Command::Perf {
+            Command::Perf(PerfArgs {
                 quick,
                 machine,
                 only,
@@ -1458,7 +1307,7 @@ mod tests {
                 stages,
                 stage_out,
                 stage_baseline,
-            } => {
+            }) => {
                 assert!(!quick);
                 assert_eq!(machine.name, MachineConfig::paper_default().name);
                 assert_eq!(only, None);
@@ -1475,13 +1324,13 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Perf {
+            Command::Perf(PerfArgs {
                 quick,
                 machine,
                 out,
                 compare,
                 ..
-            } => {
+            }) => {
                 assert!(quick);
                 assert_eq!(machine.name, MachineConfig::xeon_like().name);
                 assert_eq!(out, Some("speed.json".to_string()));
@@ -1496,7 +1345,7 @@ mod tests {
     #[test]
     fn perf_only_and_stage_flags_parse() {
         match parse(&argv("perf --only pointer-chase:origin")).unwrap() {
-            Command::Perf { only, stages, .. } => {
+            Command::Perf(PerfArgs { only, stages, .. }) => {
                 let filter = only.expect("filter parsed");
                 assert_eq!(filter.workload, "pointer-chase");
                 assert_eq!(filter.defense, Some(DefenseConfig::Origin));
@@ -1505,7 +1354,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv("perf --only counting-loop")).unwrap() {
-            Command::Perf { only, .. } => {
+            Command::Perf(PerfArgs { only, .. }) => {
                 assert_eq!(only.unwrap().defense, None);
             }
             other => panic!("unexpected {other:?}"),
@@ -1514,17 +1363,17 @@ mod tests {
         assert!(parse(&argv("perf --only pointer-chase:nope")).is_err());
 
         match parse(&argv("perf --stages")).unwrap() {
-            Command::Perf { stages, .. } => assert!(stages),
+            Command::Perf(PerfArgs { stages, .. }) => assert!(stages),
             other => panic!("unexpected {other:?}"),
         }
         // --stage-out / --stage-baseline imply the suite.
         match parse(&argv("perf --stage-out s.json --stage-baseline b.json")).unwrap() {
-            Command::Perf {
+            Command::Perf(PerfArgs {
                 stages,
                 stage_out,
                 stage_baseline,
                 ..
-            } => {
+            }) => {
                 assert!(stages);
                 assert_eq!(stage_out, Some("s.json".to_string()));
                 assert_eq!(stage_baseline, Some("b.json".to_string()));
@@ -1544,5 +1393,72 @@ mod tests {
             "flag without value"
         );
         assert!(parse(&argv("attack stray")).is_err(), "stray positional");
+    }
+
+    #[test]
+    fn accepts_every_documented_name_and_alias() {
+        let scenarios = [
+            ("flush-reload", AttackScenario::FlushReloadShared),
+            ("flush-flush", AttackScenario::FlushFlushShared),
+            ("evict-reload", AttackScenario::EvictReloadShared),
+            ("prime-probe", AttackScenario::PrimeProbeShared),
+            ("prime-probe-noshare", AttackScenario::PrimeProbeNoShare),
+            ("evict-time", AttackScenario::EvictTimeNoShare),
+        ];
+        for (name, scenario) in scenarios {
+            let parsed = parse(&argv(&format!("attack --scenario {name}"))).unwrap();
+            assert_eq!(
+                parsed,
+                Command::Attack(AttackArgs {
+                    scenario: Some(scenario),
+                    defense: None
+                })
+            );
+        }
+        let defenses = [
+            ("origin", DefenseConfig::Origin),
+            ("baseline", DefenseConfig::Baseline),
+            ("cache-hit", DefenseConfig::CacheHit),
+            ("cachehit", DefenseConfig::CacheHit),
+            ("cache-hit-tpbuf", DefenseConfig::CacheHitTpbuf),
+            ("tpbuf", DefenseConfig::CacheHitTpbuf),
+        ];
+        for (name, defense) in defenses {
+            let parsed = parse(&argv(&format!("variant --kind v1 --defense {name}"))).unwrap();
+            assert_eq!(
+                parsed,
+                Command::Variant(VariantArgs {
+                    kind: GadgetKind::V1,
+                    defense: Some(defense)
+                })
+            );
+        }
+        for name in ["v1", "v2", "v4", "rsb", "v1-same-page", "v1-set-stride"] {
+            match parse(&argv(&format!("trace --kind {name}"))).unwrap() {
+                Command::Trace(TraceArgs { kind, .. }) => assert_eq!(kind.key(), name),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let machines = [
+            ("paper-default", MachineConfig::paper_default()),
+            ("paper", MachineConfig::paper_default()),
+            ("a57", MachineConfig::a57_like()),
+            ("i7", MachineConfig::i7_like()),
+            ("xeon", MachineConfig::xeon_like()),
+        ];
+        for (name, machine) in machines {
+            match parse(&argv(&format!("bench --name gcc --machine {name}"))).unwrap() {
+                Command::Bench(BenchArgs { machine: got, .. }) => assert_eq!(*got, machine),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        match parse(&argv("trace --kind v1 --format chrome")).unwrap() {
+            Command::Trace(TraceArgs { format, .. }) => assert_eq!(format, TraceFormat::Perfetto),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(
+            parse(&argv("variant --kind v3")).unwrap_err(),
+            ParseError("unknown variant `v3`".to_string())
+        );
     }
 }
