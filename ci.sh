@@ -14,6 +14,24 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench reference gates (fig5 digest, sampled stitched-report sha256)"
+# perfbench/ is a cargo workspace of its own, so the workspace test run
+# above never reaches its tests: printed metric names match
+# BENCHMARK.json, and a flipped artifact or store byte trips the fig5
+# digest check. The small-size runs then check every fig5 artifact
+# digest and every sampled stitched-report sha256 against the recorded
+# references (about a second each), so a speed-up that changes
+# simulated behaviour fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for workload in fig5-cold sampled-long; do
+    result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --size small --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    case "$result" in
+        '{"correct":true,'*) echo "perfbench $workload (small): reference gates ok" ;;
+        *) echo "perfbench $workload (small) failed its reference gates: $result" >&2; exit 1 ;;
+    esac
+done
+
 echo "==> perf smoke + regression guard (condspec perf --quick --compare --stages)"
 cargo build --release -p condspec-cli
 perf_out="target/perf-smoke/simspeed.json"

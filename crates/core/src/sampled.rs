@@ -125,19 +125,7 @@ impl SampledPlan {
             return Err("a sampled run needs at least one checkpoint".to_string());
         }
         // Pass 1: count the program's total retired instructions.
-        sim.reset_in_place();
-        sim.load_program(Arc::clone(program));
-        let count = sim.run_functional(opts.max_insts)?;
-        if count.exit != FunctionalExit::Halted {
-            return Err(format!(
-                "functional count pass exited {:?} after {} instructions",
-                count.exit, count.retired
-            ));
-        }
-        let total = count.retired;
-        if total == 0 {
-            return Err("program retires no instructions".to_string());
-        }
+        let total = count_insts(sim, program, opts)?;
         let segments = plan_segments(total, opts.checkpoints);
 
         // Pass 2: re-run, capturing a checkpoint at each segment start.
@@ -171,28 +159,19 @@ impl SampledPlan {
     }
 }
 
-/// Plans a single window of a sampled run without capturing the other
-/// `count − 1` checkpoints: one functional pass counts `T`, a second
-/// fast-forwards to the window's segment start and captures only that
-/// checkpoint. Returns the whole-program instruction count alongside
-/// the plan, so independent window jobs (one per worker) can each call
-/// this and still agree on the segment grid.
+/// Counts the instructions `program` retires: one functional pass on
+/// `sim`, cold-reset first. This is the count pass that fixes a sampled
+/// run's segment grid.
 ///
 /// # Errors
 ///
-/// Fails for the same reasons as [`SampledPlan::build`], and when
-/// `index` is outside the planned segment grid (which can have fewer
-/// than `opts.checkpoints` segments for very short programs).
-pub fn plan_one_window(
+/// Fails when the pass exits without halting (fetch fault or
+/// `opts.max_insts` exhausted) or the program retires no instructions.
+pub fn count_insts(
     sim: &mut Simulator,
     program: &Arc<Program>,
-    workload: &str,
     opts: &SampledOptions,
-    index: usize,
-) -> Result<(u64, WindowPlan), String> {
-    if opts.checkpoints == 0 {
-        return Err("a sampled run needs at least one checkpoint".to_string());
-    }
+) -> Result<u64, String> {
     sim.reset_in_place();
     sim.load_program(Arc::clone(program));
     let count = sim.run_functional(opts.max_insts)?;
@@ -202,11 +181,35 @@ pub fn plan_one_window(
             count.exit, count.retired
         ));
     }
-    let total = count.retired;
-    if total == 0 {
+    if count.retired == 0 {
         return Err("program retires no instructions".to_string());
     }
-    let segments = plan_segments(total, opts.checkpoints);
+    Ok(count.retired)
+}
+
+/// Plans a single window of a sampled run without capturing the other
+/// `count − 1` checkpoints: given the whole-program count `total_insts`
+/// (from [`count_insts`]), one functional pass fast-forwards to the
+/// window's segment start and captures only that checkpoint, so
+/// independent window jobs (one per worker) agree on the segment grid.
+///
+/// # Errors
+///
+/// Fails when `opts.checkpoints` is zero, the fast-forward falls short,
+/// or `index` is outside the planned segment grid (which can have fewer
+/// than `opts.checkpoints` segments for very short programs).
+pub fn plan_one_window(
+    sim: &mut Simulator,
+    program: &Arc<Program>,
+    workload: &str,
+    opts: &SampledOptions,
+    total_insts: u64,
+    index: usize,
+) -> Result<WindowPlan, String> {
+    if opts.checkpoints == 0 {
+        return Err("a sampled run needs at least one checkpoint".to_string());
+    }
+    let segments = plan_segments(total_insts, opts.checkpoints);
     let &(start_inst, segment_len) = segments.get(index).ok_or_else(|| {
         format!(
             "window index {index} out of range: the run has {} segments",
@@ -224,15 +227,12 @@ pub fn plan_one_window(
             ));
         }
     }
-    Ok((
-        total,
-        WindowPlan {
-            index,
-            start_inst,
-            segment_len,
-            checkpoint: sim.capture_checkpoint(workload, start_inst),
-        },
-    ))
+    Ok(WindowPlan {
+        index,
+        start_inst,
+        segment_len,
+        checkpoint: sim.capture_checkpoint(workload, start_inst),
+    })
 }
 
 /// Splits `total` instructions into `count` contiguous `(start, len)`
@@ -459,17 +459,14 @@ mod tests {
             ..SampledOptions::default()
         };
         let full = SampledPlan::build(&mut sim, &program, "counting", &opts).unwrap();
+        let total = count_insts(&mut sim, &program, &opts).unwrap();
+        assert_eq!(total, full.total_insts);
         for index in 0..full.windows.len() {
-            let (total, window) =
-                plan_one_window(&mut sim, &program, "counting", &opts, index).unwrap();
-            assert_eq!(total, full.total_insts);
-            assert_eq!(window, full.windows[index]);
+            let window = plan_one_window(&mut sim, &program, "counting", &opts, total, index);
+            assert_eq!(window.unwrap(), full.windows[index]);
         }
-        assert!(
-            plan_one_window(&mut sim, &program, "counting", &opts, full.windows.len())
-                .unwrap_err()
-                .contains("out of range")
-        );
+        let past = plan_one_window(&mut sim, &program, "counting", &opts, total, 3);
+        assert!(past.unwrap_err().contains("out of range"));
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! sweep performs 44 builds (22 benchmarks × two iteration counts)
 //! instead of 220.
 //!
+//! The same cache memoizes each program's functional instruction count
+//! ([`ProgramCache::insts_or_count`]). A sampled run counts its program
+//! once in the driver; every window job then reads the segment grid
+//! from the memo instead of repeating a whole-program functional pass.
+//!
 //! [`WorkerContext`] is the per-worker companion: each scheduler worker
 //! owns one, holding a shared handle to the sweep's `ProgramCache` plus
 //! the worker's resident [`Simulator`]. Between jobs the simulator is
@@ -37,7 +42,8 @@ use std::sync::{Arc, Mutex};
 /// Keyed by `(benchmark, iterations)` — the only [`JobSpec`] fields
 /// that influence program content. `build_program` is deterministic,
 /// so two jobs with equal keys would build identical programs;
-/// the cache builds once and clones the `Arc`.
+/// the cache builds once and clones the `Arc`. The same key names the
+/// memoized functional instruction count of that program.
 ///
 /// [`JobSpec`]: crate::JobSpec
 #[derive(Debug, Default)]
@@ -45,6 +51,9 @@ pub struct ProgramCache {
     programs: Mutex<HashMap<(&'static str, u64), Arc<Program>>>,
     builds: AtomicU64,
     hits: AtomicU64,
+    insts: Mutex<HashMap<(&'static str, u64), u64>>,
+    count_runs: AtomicU64,
+    counts_served: AtomicU64,
 }
 
 impl ProgramCache {
@@ -79,6 +88,40 @@ impl ProgramCache {
         program
     }
 
+    /// The number of instructions the `(benchmark, iterations)` program
+    /// retires. A memoized count is served when it is at most
+    /// `max_insts`; otherwise `count` runs (a functional count pass,
+    /// e.g. [`condspec::count_insts`]) and a successful result is
+    /// memoized. Errors are never memoized, and a memoized count above
+    /// `max_insts` is never served, so a smaller limit fails exactly as
+    /// a fresh count pass would.
+    ///
+    /// The lock is not held across `count`: two jobs missing at once
+    /// both count (the results agree), rather than serializing every
+    /// other program's lookups behind a long functional pass.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `count` returns.
+    pub fn insts_or_count(
+        &self,
+        benchmark: &'static str,
+        iterations: u64,
+        max_insts: u64,
+        count: impl FnOnce() -> Result<u64, String>,
+    ) -> Result<u64, String> {
+        let key = (benchmark, iterations);
+        let memo = self.insts.lock().unwrap().get(&key).copied();
+        if let Some(total) = memo.filter(|&total| total <= max_insts) {
+            self.counts_served.fetch_add(1, Ordering::Relaxed);
+            return Ok(total);
+        }
+        self.count_runs.fetch_add(1, Ordering::Relaxed);
+        let total = count()?;
+        self.insts.lock().unwrap().insert(key, total);
+        Ok(total)
+    }
+
     /// Programs built (one per distinct key requested).
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
@@ -87,6 +130,17 @@ impl ProgramCache {
     /// Requests served from the cache without building.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Functional count passes run by [`ProgramCache::insts_or_count`]
+    /// (memo misses, failed passes included).
+    pub fn count_runs(&self) -> u64 {
+        self.count_runs.load(Ordering::Relaxed)
+    }
+
+    /// Instruction counts served from the memo without a count pass.
+    pub fn counts_served(&self) -> u64 {
+        self.counts_served.load(Ordering::Relaxed)
     }
 
     /// Distinct programs currently held.
@@ -99,13 +153,15 @@ impl ProgramCache {
         self.len() == 0
     }
 
-    /// The `builds`/`hits` summary the sweep driver prints, e.g.
-    /// `program-cache: 44 builds, 176 hits`.
+    /// The summary the sweep driver prints, e.g.
+    /// `program-cache: 44 builds, 176 hits, 0 count runs, 0 counts served`.
     pub fn summary(&self) -> String {
         format!(
-            "program-cache: {} builds, {} hits",
+            "program-cache: {} builds, {} hits, {} count runs, {} counts served",
             self.builds(),
-            self.hits()
+            self.hits(),
+            self.count_runs(),
+            self.counts_served()
         )
     }
 }
@@ -135,7 +191,7 @@ impl WorkerContext {
     }
 
     /// The shared program cache.
-    pub fn programs(&self) -> &ProgramCache {
+    pub fn programs(&self) -> &Arc<ProgramCache> {
         &self.programs
     }
 
@@ -179,7 +235,31 @@ mod tests {
         assert_eq!(cache.builds(), 2);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.summary(), "program-cache: 2 builds, 1 hits");
+        assert_eq!(
+            cache.summary(),
+            "program-cache: 2 builds, 1 hits, 0 count runs, 0 counts served"
+        );
+    }
+
+    #[test]
+    fn insts_memo_serves_within_the_limit_and_never_memoizes_errors() {
+        let cache = ProgramCache::new();
+        let failed = cache.insts_or_count("gcc", 40, 100, || Err("limit".to_string()));
+        assert_eq!(failed, Err("limit".to_string()));
+        assert_eq!(cache.insts_or_count("gcc", 40, 100, || Ok(90)), Ok(90));
+        let unused = || -> Result<u64, String> { panic!("a memoized count must not re-run") };
+        assert_eq!(cache.insts_or_count("gcc", 40, 90, unused), Ok(90));
+        let smaller = cache.insts_or_count("gcc", 40, 89, || Err("limit".to_string()));
+        assert_eq!(
+            smaller,
+            Err("limit".to_string()),
+            "never served above the limit"
+        );
+        assert_eq!((cache.count_runs(), cache.counts_served()), (3, 1));
+        assert_eq!(
+            cache.summary(),
+            "program-cache: 0 builds, 0 hits, 3 count runs, 1 counts served"
+        );
     }
 
     #[test]

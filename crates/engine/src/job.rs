@@ -13,13 +13,14 @@
 use crate::cache::WorkerContext;
 use crate::hash::{fnv1a64, hex16};
 use condspec::{
-    leak_report_to_json, plan_one_window, run_window, DefenseConfig, DependenceKinds, LruPolicy,
-    MachineConfig, SampledOptions, SimConfig, Simulator,
+    count_insts, leak_report_to_json, plan_one_window, run_window, DefenseConfig, DependenceKinds,
+    LruPolicy, MachineConfig, SampledOptions, SimConfig, Simulator,
 };
 use condspec_attacks::{leak_probe, run_variant, AttackScenario};
 use condspec_stats::Json;
 use condspec_workloads::spec::{build_program, by_name};
 use condspec_workloads::GadgetKind;
+use std::sync::Arc;
 
 /// Default outer iterations per measured benchmark run (matches the
 /// Figure 5 harness).
@@ -416,7 +417,8 @@ impl JobSpec {
                 window_warmup,
                 window_index,
             } => {
-                let program = ctx.programs().get_or_build(benchmark, *iterations);
+                let programs = Arc::clone(ctx.programs());
+                let program = programs.get_or_build(benchmark, *iterations);
                 let sim = ctx.simulator(self.sim_config());
                 let opts = SampledOptions {
                     checkpoints: *checkpoints,
@@ -425,8 +427,15 @@ impl JobSpec {
                     max_cycles: self.budget,
                     ..SampledOptions::default()
                 };
-                let (total_insts, plan) =
-                    plan_one_window(sim, &program, benchmark, &opts, *window_index)
+                // The pooled driver has usually counted this program
+                // already; a lone job counts it here and fills the memo.
+                let total_insts = programs
+                    .insts_or_count(benchmark, *iterations, opts.max_insts, || {
+                        count_insts(sim, &program, &opts)
+                    })
+                    .unwrap_or_else(|e| panic!("window planning failed: {e}"));
+                let plan =
+                    plan_one_window(sim, &program, benchmark, &opts, total_insts, *window_index)
                         .unwrap_or_else(|e| panic!("window planning failed: {e}"));
                 let measured = run_window(sim, &plan, &program, &opts)
                     .unwrap_or_else(|e| panic!("window run failed: {e}"));
@@ -488,8 +497,8 @@ impl JobSpec {
             panic!("time-series sampling is only defined for benchmark workloads");
         };
         let spec = by_name(benchmark).unwrap_or_else(|| panic!("unknown benchmark `{benchmark}`"));
-        let warmup_program = std::sync::Arc::new(build_program(&spec, *warmup));
-        let measured = std::sync::Arc::new(build_program(&spec, *iterations));
+        let warmup_program = Arc::new(build_program(&spec, *warmup));
+        let measured = Arc::new(build_program(&spec, *iterations));
         let mut sim = Simulator::new(self.sim_config());
         sim.core_mut().enable_sampler(window, max_rows);
         // run_job resets statistics between warm-up and measurement,

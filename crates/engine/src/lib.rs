@@ -54,7 +54,10 @@ pub use artifact::{JobSource, JobStatus, ManifestInfo, SweepDir, DEFAULT_ROOT};
 pub use cache::{ProgramCache, WorkerContext};
 pub use condspec_store::ResultStore;
 pub use job::{JobSpec, MachinePreset, Workload};
-pub use sampled::{checkpoint_store_key, run_sampled_bench, SampledBenchOutcome, SampledBenchSpec};
+pub use sampled::{
+    checkpoint_store_key, run_sampled_bench, run_sampled_bench_with, SampledBenchOutcome,
+    SampledBenchSpec,
+};
 pub use scheduler::{default_workers, run_jobs, ClaimOptions, JobDone, JobResult, JobTiming};
 pub use sweep::{Sweep, SweepResults};
 pub use telemetry::SweepTelemetry;

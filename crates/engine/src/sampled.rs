@@ -4,12 +4,14 @@
 //! estimate.
 //!
 //! The orchestrator deliberately runs *only* the count pass itself
-//! (functional execution, tens of times faster than detailed): each
-//! window job recomputes its own fast-forward to its segment start, so
-//! the fast-forwards overlap across workers instead of serializing in
-//! the driver. Window jobs are content-hashed like any other job
-//! (`kind=bench-window`), so a warm [`ResultStore`] serves a repeated
-//! sampled run without simulating a single window.
+//! (functional execution, tens of times faster than detailed) and
+//! memoizes the count in the shared [`ProgramCache`]. Each window job
+//! takes the count from that memo and recomputes only its own
+//! fast-forward to its segment start, so the fast-forwards overlap
+//! across workers instead of serializing in the driver. Window jobs
+//! are content-hashed like any other job (`kind=bench-window`), so a
+//! warm [`ResultStore`] serves a repeated sampled run without
+//! simulating a single window.
 //!
 //! [`Workload::BenchWindow`]: crate::Workload::BenchWindow
 
@@ -18,8 +20,8 @@ use crate::job::{JobSpec, MachinePreset, Workload, DEFAULT_BUDGET, DEFAULT_ITERA
 use crate::scheduler::run_jobs;
 use crate::JobSource;
 use condspec::{
-    plan_segments, stitch_reports, DefenseConfig, FunctionalExit, LruPolicy, Report,
-    SampledOptions, Simulator, WindowReport,
+    count_insts, plan_segments, stitch_reports, DefenseConfig, LruPolicy, Report, SampledOptions,
+    Simulator, WindowReport,
 };
 use condspec_stats::Json;
 use condspec_store::ResultStore;
@@ -180,37 +182,45 @@ pub fn run_sampled_bench(
     workers: usize,
     store: Option<&ResultStore>,
 ) -> Result<SampledBenchOutcome, String> {
+    run_sampled_bench_with(spec, workers, &Arc::new(ProgramCache::new()), store)
+}
+
+/// [`run_sampled_bench`] sharing `programs` (built programs and
+/// memoized instruction counts) with the caller, so several sampled
+/// runs of one program build and count it once.
+///
+/// # Errors
+///
+/// As [`run_sampled_bench`].
+pub fn run_sampled_bench_with(
+    spec: &SampledBenchSpec,
+    workers: usize,
+    programs: &Arc<ProgramCache>,
+    store: Option<&ResultStore>,
+) -> Result<SampledBenchOutcome, String> {
     if spec.checkpoints == 0 {
         return Err("a sampled run needs at least one checkpoint".to_string());
     }
     if by_name(spec.benchmark).is_none() {
         return Err(format!("unknown benchmark `{}`", spec.benchmark));
     }
-    let programs = Arc::new(ProgramCache::new());
     let program = programs.get_or_build(spec.benchmark, spec.iterations);
 
-    // Count pass: one functional run fixes the segment grid. Window
-    // jobs recompute their own fast-forward in parallel.
-    let mut sim = Simulator::new(spec.window_job(0).sim_config());
-    sim.load_program(Arc::clone(&program));
-    let count = sim.run_functional(SampledOptions::default().max_insts)?;
-    if count.exit != FunctionalExit::Halted {
-        return Err(format!(
-            "functional count pass exited {:?} after {} instructions",
-            count.exit, count.retired
-        ));
-    }
-    let total_insts = count.retired;
-    if total_insts == 0 {
-        return Err("program retires no instructions".to_string());
-    }
+    // Count pass: one functional run fixes the segment grid and fills
+    // the memo the window jobs read it from.
+    let opts = SampledOptions::default();
+    let total_insts =
+        programs.insts_or_count(spec.benchmark, spec.iterations, opts.max_insts, || {
+            let mut sim = Simulator::new(spec.window_job(0).sim_config());
+            count_insts(&mut sim, &program, &opts)
+        })?;
     let segments = plan_segments(total_insts, spec.checkpoints);
 
     let jobs: Vec<JobSpec> = (0..segments.len()).map(|i| spec.window_job(i)).collect();
     let results = run_jobs(
         &jobs,
         workers,
-        &programs,
+        programs,
         store.map(|s| (s, None)),
         |_, _| {},
     );
@@ -265,7 +275,7 @@ pub fn run_sampled_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use condspec::{run_sampled, SimConfig};
+    use condspec::{run_sampled, run_window, SampledPlan, SimConfig};
 
     fn tiny_spec() -> SampledBenchSpec {
         SampledBenchSpec {
@@ -299,6 +309,67 @@ mod tests {
         assert_eq!(pooled.report, serial.report);
         assert_eq!(pooled.executed, serial.windows.len());
         assert_eq!(pooled.store_hits, 0);
+    }
+
+    #[test]
+    fn memoized_window_jobs_match_lone_jobs_and_the_serial_plan() {
+        let root =
+            std::env::temp_dir().join(format!("condspec-sampled-memo-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let store = ResultStore::open(&root);
+        let spec = tiny_spec();
+        let programs = Arc::new(ProgramCache::new());
+        let pooled = run_sampled_bench_with(&spec, 2, &programs, Some(&store)).expect("pooled run");
+        let n = pooled.windows.len() as u64;
+        assert_eq!((programs.count_runs(), programs.counts_served()), (1, n));
+
+        let program = programs.get_or_build(spec.benchmark, spec.iterations);
+        let mut sim = Simulator::new(SimConfig::new(spec.defense));
+        let opts = SampledOptions {
+            checkpoints: spec.checkpoints,
+            window: spec.window,
+            warmup: spec.window_warmup,
+            max_cycles: spec.budget,
+            ..SampledOptions::default()
+        };
+        let plan = SampledPlan::build(&mut sim, &program, spec.benchmark, &opts).expect("plan");
+        assert_eq!(plan.total_insts, pooled.total_insts);
+        for (index, window) in plan.windows.iter().enumerate() {
+            let job = spec.window_job(index);
+            // The pooled run's artifact, as filed in the store.
+            let pooled_doc = store.load(&job.store_key()).expect("window filed").render();
+            // A lone job on a fresh context, with no memo to read.
+            assert_eq!(pooled_doc, job.execute().render(), "window {index}");
+            let serial = run_window(&mut sim, window, &program, &opts).expect("serial window");
+            let doc = Json::parse(&pooled_doc).expect("artifact parses");
+            assert_eq!(doc.get("report"), Some(&serial.report.to_json()));
+            assert_eq!(
+                window_field(&doc, "start_inst", index),
+                Ok(window.start_inst)
+            );
+            assert_eq!(
+                window_field(&doc, "segment_len", index),
+                Ok(window.segment_len)
+            );
+            assert_eq!(
+                window_field(&doc, "total_insts", index),
+                Ok(plan.total_insts)
+            );
+        }
+
+        // A memoized total never hides the limit error of a fresh pass.
+        let limit = pooled.total_insts - 1;
+        let tight = SampledOptions {
+            max_insts: limit,
+            ..opts
+        };
+        let err = programs
+            .insts_or_count(spec.benchmark, spec.iterations, limit, || {
+                count_insts(&mut sim, &program, &tight)
+            })
+            .unwrap_err();
+        assert!(err.contains("InstLimit"), "{err}");
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

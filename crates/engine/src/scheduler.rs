@@ -291,7 +291,8 @@ fn resolve(
     match (&outcome, &keyed) {
         (Ok(doc), Some((store, key))) => {
             // Best-effort: a store that cannot be written to (read-only,
-            // disk full) must not fail the job it just ran.
+            // disk full) must not fail the job it just ran. The store
+            // counts the failure in its `io_errors`.
             let (hash, label) = (spec.hash_hex(), spec.label());
             let fingerprint = crate::hash::code_fingerprint();
             let _ = match claim {

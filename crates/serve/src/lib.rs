@@ -123,15 +123,16 @@ impl Server {
             if self.state.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let Ok(stream) = stream else { continue };
+            let Ok(mut stream) = stream else {
+                self.state.connection_errors.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
             let state = Arc::clone(&self.state);
             std::thread::spawn(move || {
-                let mut stream = stream;
                 let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                if let Err(e) = handle_connection(&state, addr, &mut stream) {
-                    // Client went away mid-response or sent garbage;
-                    // nothing to do but note it.
-                    let _ = e;
+                if handle_connection(&state, addr, &mut stream).is_err() {
+                    // Client went away mid-response or sent garbage.
+                    state.connection_errors.fetch_add(1, Ordering::Relaxed);
                 }
             });
         }
@@ -147,7 +148,9 @@ fn handle_connection(
     let request = match read_request(stream) {
         Ok(r) => r,
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-            return respond_json(stream, 400, &error_json(&e.to_string()));
+            // Answer the malformed request, then count it as an error.
+            respond_json(stream, 400, &error_json(&e.to_string()))?;
+            return Err(e);
         }
         Err(e) => return Err(e),
     };
@@ -804,11 +807,16 @@ fn store_stats(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<(
     respond_json(stream, 200, &format!("{}\n", doc.render()))
 }
 
-/// The daemon's metrics registry: request/submission counters plus the
-/// store's on-disk footprint and daemon-lifetime hit/insert totals.
+/// The daemon's metrics registry: request, connection-error and
+/// submission counters plus the store's on-disk footprint and
+/// daemon-lifetime hit/insert totals.
 fn metrics(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
     let mut registry = MetricsRegistry::new();
     registry.set_counter("serve.requests", state.requests.load(Ordering::Relaxed));
+    registry.set_counter(
+        "serve.connection_errors",
+        state.connection_errors.load(Ordering::Relaxed),
+    );
     registry.set_counter("serve.submissions", state.submissions().len() as u64);
     registry.set_counter("store.hits", state.store_hits_total.load(Ordering::Relaxed));
     registry.set_counter(

@@ -11,7 +11,7 @@
 //! run of the same sweep.
 
 use condspec_engine::{
-    default_workers, run_jobs, run_sampled_bench, run_sweep_observed, write_sweep_manifest,
+    default_workers, run_jobs, run_sampled_bench_with, run_sweep_observed, write_sweep_manifest,
     JobSource, ProgramCache, ResultStore, SampledBenchSpec, Sweep, SweepDir, SweepOptions,
     SweepProgress, SweepResults,
 };
@@ -161,6 +161,9 @@ pub struct ServerState {
     next_id: AtomicU64,
     /// Total HTTP requests handled (for `/api/metrics`).
     pub requests: AtomicU64,
+    /// Connections that failed to accept, sent a malformed request, or
+    /// broke off mid-exchange (for `/api/metrics`).
+    pub connection_errors: AtomicU64,
     /// Store hits across every finished submission (daemon lifetime).
     pub store_hits_total: AtomicU64,
     /// Store inserts (fresh simulations with the store on) across every
@@ -241,6 +244,7 @@ impl ServerState {
             submissions: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             requests: AtomicU64::new(0),
+            connection_errors: AtomicU64::new(0),
             store_hits_total: AtomicU64::new(0),
             store_inserts_total: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -607,7 +611,8 @@ impl ServerState {
         match outcome {
             Ok(doc) => {
                 if let Some(s) = &run.store {
-                    // Best-effort, with the reporting shard recorded as
+                    // Best-effort (a failure is counted in the store's
+                    // `io_errors`), with the reporting shard recorded as
                     // the entry's owner — local workers sharing the
                     // store see this job as already complete.
                     let _ = s.insert_claimed(
@@ -759,7 +764,9 @@ impl ServerState {
 
 /// Runs a sampled-mode submission: every benchmark job becomes a
 /// functional count pass plus parallel detailed windows
-/// (`run_sampled_bench`), whose stitched whole-program report lands
+/// (`run_sampled_bench_with`; one program cache for the whole
+/// submission, so a benchmark under several defenses is built and
+/// counted once), whose stitched whole-program report lands
 /// under the job's hash so the sweep's ordinary renderer draws the
 /// table; attack and variant jobs run detailed through the scheduler.
 /// Returns the collected results plus the submission's window-level
@@ -785,7 +792,7 @@ fn run_sampled_submission(
     };
     for job in &sweep.jobs {
         match SampledBenchSpec::from_bench_job(job) {
-            Some(spec) => match run_sampled_bench(&spec, workers, store.as_ref()) {
+            Some(spec) => match run_sampled_bench_with(&spec, workers, &programs, store.as_ref()) {
                 Ok(outcome) => {
                     window_hits += outcome.store_hits as u64;
                     window_inserts += outcome.executed as u64;

@@ -680,3 +680,46 @@ fn deeply_nested_body_is_rejected_and_the_daemon_stays_up() {
     daemon.join().expect("daemon thread exits cleanly");
     std::fs::remove_dir_all(&runs_root).ok();
 }
+
+#[test]
+fn garbage_connections_are_counted() {
+    let runs_root = scratch("garbage");
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        runs_root: runs_root.clone(),
+        store_root: None,
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || server.run().expect("serve"));
+
+    let connection_errors = || {
+        let (status, body) = get(addr, "/api/metrics");
+        assert_eq!(status, 200, "{body}");
+        Json::parse(&body)
+            .expect("metrics JSON")
+            .get("serve.connection_errors")
+            .and_then(Json::as_u64)
+            .expect("serve.connection_errors counter")
+    };
+    assert_eq!(connection_errors(), 0);
+    let mut client = TcpStream::connect(addr).expect("connect");
+    client.write_all(b"\x00\xffnot http").expect("send garbage");
+    drop(client);
+    // The connection is handled on its own thread; poll for the count.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while connection_errors() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "garbage connection never counted"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(connection_errors(), 1);
+
+    let (status, body) = post(addr, "/api/shutdown", "");
+    assert_eq!(status, 200, "{body}");
+    daemon.join().expect("daemon thread exits cleanly");
+    std::fs::remove_dir_all(&runs_root).ok();
+}

@@ -151,8 +151,19 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// Any I/O error creating the shard directory or writing the lease.
+    /// Any I/O error creating the shard directory or writing the lease
+    /// (counted in [`ResultStore::io_errors`]).
     pub fn try_claim(
+        &self,
+        key: &str,
+        owner: &str,
+        steal_after: Duration,
+    ) -> io::Result<ClaimStatus> {
+        self.claim_lease(key, owner, steal_after)
+            .map_err(|e| self.io_error(e))
+    }
+
+    fn claim_lease(
         &self,
         key: &str,
         owner: &str,
@@ -243,7 +254,8 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// Any I/O error rewriting a lease we do hold.
+    /// Any I/O error rewriting a lease we do hold (counted in
+    /// [`ResultStore::io_errors`]).
     pub fn heartbeat(&self, key: &str, owner: &str) -> io::Result<bool> {
         let path = self.claim_path(key);
         let beats = match read_lease(&path) {
@@ -252,12 +264,12 @@ impl ResultStore {
         };
         let dir = path.parent().expect("lease paths always have a shard dir");
         let tmp = self.lease_tmp(dir, key);
-        fs::write(&tmp, lease_doc(key, owner, beats + 1) + "\n")?;
+        fs::write(&tmp, lease_doc(key, owner, beats + 1) + "\n").map_err(|e| self.io_error(e))?;
         let renamed = fs::rename(&tmp, &path);
         if renamed.is_err() {
             let _ = fs::remove_file(&tmp);
         }
-        renamed?;
+        renamed.map_err(|e| self.io_error(e))?;
         Ok(true)
     }
 
@@ -267,7 +279,8 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// Any I/O error removing a lease we do hold.
+    /// Any I/O error removing a lease we do hold (counted in
+    /// [`ResultStore::io_errors`]).
     pub fn release(&self, key: &str, owner: &str) -> io::Result<bool> {
         let path = self.claim_path(key);
         match read_lease(&path) {
@@ -280,7 +293,7 @@ impl ResultStore {
                 Ok(true)
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
+            Err(e) => Err(self.io_error(e)),
         }
     }
 

@@ -89,6 +89,7 @@ pub struct ResultStore {
     steals: AtomicU64,
     releases: AtomicU64,
     duplicate_inserts: AtomicU64,
+    io_errors: AtomicU64,
 }
 
 /// Shallow scan of a store: entry count and total payload bytes.
@@ -191,6 +192,7 @@ impl ResultStore {
             steals: AtomicU64::new(0),
             releases: AtomicU64::new(0),
             duplicate_inserts: AtomicU64::new(0),
+            io_errors: AtomicU64::new(0),
         }
     }
 
@@ -378,7 +380,7 @@ impl ResultStore {
         owner: Option<&str>,
     ) -> io::Result<()> {
         let dir = path.parent().expect("object paths always have a shard dir");
-        fs::create_dir_all(dir)?;
+        fs::create_dir_all(dir).map_err(|e| self.io_error(e))?;
         let envelope = Envelope {
             key: key.to_string(),
             job: job.to_string(),
@@ -395,12 +397,12 @@ impl ResultStore {
             std::process::id(),
             self.tmp_seq.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&tmp, envelope.render() + "\n")?;
+        fs::write(&tmp, envelope.render() + "\n").map_err(|e| self.io_error(e))?;
         let renamed = fs::rename(&tmp, &path);
         if renamed.is_err() {
             let _ = fs::remove_file(&tmp);
         }
-        renamed?;
+        renamed.map_err(|e| self.io_error(e))?;
         self.inserts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -425,16 +427,35 @@ impl ResultStore {
         self.corrupt.load(Ordering::Relaxed)
     }
 
+    /// Failed writes since open: inserts, lease claims, heartbeats and
+    /// releases that returned an I/O error. Callers treat the store as a
+    /// best-effort cache and carry on, so this counter is where those
+    /// failures stay visible.
+    pub fn io_errors(&self) -> u64 {
+        self.io_errors.load(Ordering::Relaxed)
+    }
+
+    /// Counts `e` as a store I/O failure and passes it on.
+    pub(crate) fn io_error(&self, e: io::Error) -> io::Error {
+        self.io_errors.fetch_add(1, Ordering::Relaxed);
+        e
+    }
+
     /// The `hits`/`misses`/`inserts` line the sweep driver prints, kept
     /// deliberately distinct from the in-memory `program-cache:` line so
-    /// the two cache layers are independently observable.
+    /// the two cache layers are independently observable. A non-zero
+    /// [`ResultStore::io_errors`] count is appended.
     pub fn summary(&self) -> String {
-        format!(
+        let mut line = format!(
             "result-store: {} hits, {} misses, {} inserts",
             self.hits(),
             self.misses(),
             self.inserts()
-        )
+        );
+        if self.io_errors() > 0 {
+            line.push_str(&format!(", {} io errors", self.io_errors()));
+        }
+        line
     }
 
     /// Exports the session counters into a [`MetricsRegistry`] under
@@ -448,6 +469,7 @@ impl ResultStore {
         registry.set_counter("store.steals", self.steals());
         registry.set_counter("store.releases", self.releases());
         registry.set_counter("store.duplicate_inserts", self.duplicate_inserts());
+        registry.set_counter("store.io_errors", self.io_errors());
     }
 
     fn walk_dir(dir: &Path) -> io::Result<Vec<PathBuf>> {
@@ -769,6 +791,35 @@ mod tests {
             Some(&condspec_stats::MetricValue::Counter(1))
         );
         fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn failed_writes_are_counted() {
+        // A regular file where the store root should be: every write
+        // fails, whoever runs the test (permissions would not stop root).
+        let root = scratch("unwritable");
+        fs::write(&root, "not a directory").unwrap();
+        let store = ResultStore::open(&root);
+        let key = "00ff00ff00ff00ff";
+        assert!(store
+            .insert(key, "ab", "gcc/origin", 7, &artifact(1))
+            .is_err());
+        assert!(store
+            .insert_claimed(key, "ab", "gcc/origin", 7, &artifact(1), "w1")
+            .is_err());
+        assert!(store.try_claim(key, "w1", Duration::from_secs(1)).is_err());
+        assert_eq!(store.io_errors(), 3);
+        assert_eq!(
+            store.summary(),
+            "result-store: 0 hits, 0 misses, 0 inserts, 3 io errors"
+        );
+        let mut reg = MetricsRegistry::new();
+        store.fill_metrics(&mut reg);
+        assert_eq!(
+            reg.get("store.io_errors"),
+            Some(&condspec_stats::MetricValue::Counter(3))
+        );
+        fs::remove_file(&root).ok();
     }
 
     #[test]
