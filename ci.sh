@@ -8,6 +8,11 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> net lines (information only, not a gate)"
+# Non-test Rust under crates/*/src and crates/*/benches, per crate: the
+# one count change summaries quote as "net lines".
+python3 ci/net_lines.py
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

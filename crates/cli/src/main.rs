@@ -413,16 +413,11 @@ fn run_sampled_file(
         let store = ResultStore::open(root);
         let fingerprint = condspec_engine::hash::code_fingerprint();
         for w in &plan.windows {
-            let key = condspec_engine::checkpoint_store_key(
-                &workload,
-                &w.checkpoint.machine,
-                plan.total_insts,
-                w.start_inst,
-            );
-            let identity = format!(
-                "kind=checkpoint;workload={workload};machine={};total={};inst={}",
-                w.checkpoint.machine, plan.total_insts, w.start_inst
-            );
+            let (machine, total) = (&w.checkpoint.machine, plan.total_insts);
+            let identity =
+                condspec_engine::checkpoint_identity(&workload, machine, total, w.start_inst);
+            let key =
+                condspec_engine::checkpoint_store_key(&workload, machine, total, w.start_inst);
             let label = format!("{workload}@{}", w.start_inst);
             store
                 .insert_checkpoint(

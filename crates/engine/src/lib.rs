@@ -55,8 +55,8 @@ pub use cache::{ProgramCache, WorkerContext};
 pub use condspec_store::ResultStore;
 pub use job::{JobSpec, MachinePreset, Workload};
 pub use sampled::{
-    checkpoint_store_key, run_sampled_bench, run_sampled_bench_with, SampledBenchOutcome,
-    SampledBenchSpec,
+    checkpoint_identity, checkpoint_store_key, run_sampled_bench, run_sampled_bench_with,
+    SampledBenchOutcome, SampledBenchSpec,
 };
 pub use scheduler::{default_workers, run_jobs, ClaimOptions, JobDone, JobResult, JobTiming};
 pub use sweep::{Sweep, SweepResults};
@@ -161,6 +161,10 @@ pub struct SweepOutcome {
     pub skipped: usize,
     /// Failed jobs as `(hash, label, error)`.
     pub failed: Vec<(String, String, String)>,
+    /// Failed persistent-store writes (inserts, lease claims, heartbeats,
+    /// releases) this run counted: [`ResultStore::io_errors`], 0 without
+    /// a store.
+    pub store_io_errors: u64,
     /// Every available artifact (freshly computed, store-served, and
     /// resumed), keyed by job hash.
     pub results: SweepResults,
@@ -375,6 +379,7 @@ pub fn run_sweep_observed(
         remote: progress.remote,
         skipped,
         failed,
+        store_io_errors: store.as_ref().map_or(0, ResultStore::io_errors),
         results,
     })
 }

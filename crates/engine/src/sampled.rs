@@ -141,23 +141,41 @@ pub struct SampledBenchOutcome {
     pub store_hits: usize,
 }
 
-/// The persistent-store key a checkpoint object is filed under.
+/// The canonical identity of a checkpoint object, recorded with it in
+/// the store and hashed into its [`checkpoint_store_key`].
 /// Checkpoints are policy-agnostic (a quiesced boundary holds no
 /// defense transient state), so the identity names only the workload,
 /// the machine preset, the whole-program instruction count, and the
 /// capture position — one stored checkpoint serves every defense. The
 /// distinct `kind=checkpoint` prefix keeps checkpoint keys disjoint
-/// from every job key, and the shared code fingerprint invalidates
-/// them together with results when simulation semantics change.
+/// from every job key.
+pub fn checkpoint_identity(
+    workload: &str,
+    machine: &str,
+    total_insts: u64,
+    inst_index: u64,
+) -> String {
+    format!(
+        "kind=checkpoint;workload={workload};machine={machine};\
+         total={total_insts};inst={inst_index}"
+    )
+}
+
+/// The persistent-store key a checkpoint object is filed under: the
+/// hash of its [`checkpoint_identity`]. The shared code fingerprint
+/// invalidates checkpoints together with results when simulation
+/// semantics change.
 pub fn checkpoint_store_key(
     workload: &str,
     machine: &str,
     total_insts: u64,
     inst_index: u64,
 ) -> String {
-    crate::hash::store_key(&format!(
-        "kind=checkpoint;workload={workload};machine={machine};\
-         total={total_insts};inst={inst_index}"
+    crate::hash::store_key(&checkpoint_identity(
+        workload,
+        machine,
+        total_insts,
+        inst_index,
     ))
 }
 
@@ -393,6 +411,16 @@ mod tests {
         let a = checkpoint_store_key("gcc", "paper-default", 1000, 0);
         let b = checkpoint_store_key("gcc", "paper-default", 1000, 500);
         assert_ne!(a, b, "capture position changes the key");
+        let identity = checkpoint_identity("gcc", "paper-default", 1000, 500);
+        assert_eq!(
+            identity,
+            "kind=checkpoint;workload=gcc;machine=paper-default;total=1000;inst=500"
+        );
+        assert_eq!(
+            b,
+            crate::hash::store_key(&identity),
+            "the key hashes the identity"
+        );
         let job = JobSpec::bench_window("gcc", DefenseConfig::Origin, 0).store_key();
         assert_ne!(a, job, "checkpoints never alias window jobs");
     }

@@ -77,6 +77,22 @@ impl IqHot {
     }
 }
 
+/// Why an IQ entry bounced back to the not-issued state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BlockReason {
+    /// A hazard filter blocked it; wait for security dependences to clear.
+    Security,
+    /// An older store's address is unknown and store bypass is disabled.
+    StoreAddr,
+    /// An older overlapping store's data is not yet available.
+    StoreData {
+        /// The load's virtual address.
+        vaddr: u64,
+        /// The load's size in bytes.
+        size: u64,
+    },
+}
+
 /// Sentinel in `view_pos` for unoccupied slots.
 const NO_VIEW: usize = usize::MAX;
 
@@ -135,6 +151,11 @@ pub struct IssueQueue {
     /// Scratch for the rare [`IssueQueue::views_excluding`] fallback where
     /// the excluded slot is not the most recently allocated one.
     views_scratch: Vec<IqEntryView>,
+    /// Why each blocked slot bounced; `None` for every slot that is free,
+    /// issued, or bounced without a recorded reason.
+    block_reason: Vec<Option<BlockReason>>,
+    /// Earliest re-issue cycle of each blocked slot (the replay penalty).
+    replay_at: Vec<u64>,
 }
 
 impl IssueQueue {
@@ -156,6 +177,8 @@ impl IssueQueue {
             views: Vec::with_capacity(capacity),
             view_pos: vec![NO_VIEW; capacity],
             views_scratch: Vec::with_capacity(capacity),
+            block_reason: vec![None; capacity],
+            replay_at: vec![0; capacity],
         }
     }
 
@@ -170,6 +193,8 @@ impl IssueQueue {
         self.blocked.iter_mut().for_each(|w| *w = 0);
         self.views.clear();
         self.view_pos.iter_mut().for_each(|p| *p = NO_VIEW);
+        self.block_reason.iter_mut().for_each(|r| *r = None);
+        self.replay_at.iter_mut().for_each(|c| *c = 0);
     }
 
     /// Number of slots.
@@ -223,6 +248,8 @@ impl IssueQueue {
         bits::clear_bit(&mut self.unissued, slot);
         bits::clear_bit(&mut self.ops_ready, slot);
         bits::clear_bit(&mut self.blocked, slot);
+        self.block_reason[slot] = None;
+        self.replay_at[slot] = 0;
         let pos = self.view_pos[slot];
         self.view_pos[slot] = NO_VIEW;
         self.views.swap_remove(pos);
@@ -256,6 +283,7 @@ impl IssueQueue {
         entry.blocked = false;
         bits::clear_bit(&mut self.unissued, slot);
         bits::clear_bit(&mut self.blocked, slot);
+        self.block_reason[slot] = None;
         self.views[self.view_pos[slot]].issued = true;
     }
 
@@ -273,6 +301,32 @@ impl IssueQueue {
         bits::set_bit(&mut self.unissued, slot);
         bits::set_bit(&mut self.blocked, slot);
         self.views[self.view_pos[slot]].issued = false;
+    }
+
+    /// [`IssueQueue::bounce`]s `slot` for `reason`; it may re-issue no
+    /// earlier than cycle `replay_at`, and only once `reason` clears.
+    pub(crate) fn block(&mut self, slot: usize, reason: BlockReason, replay_at: u64) {
+        self.bounce(slot);
+        self.block_reason[slot] = Some(reason);
+        self.replay_at[slot] = replay_at;
+    }
+
+    /// Why the entry in `slot` last bounced and the cycle it may re-issue.
+    pub(crate) fn block_state(&self, slot: usize) -> (Option<BlockReason>, u64) {
+        (self.block_reason[slot], self.replay_at[slot])
+    }
+
+    /// The earliest replay cycle at or after `cycle` among blocked
+    /// entries — a masked walk of the `blocked` word.
+    pub(crate) fn next_replay(&self, cycle: u64) -> Option<u64> {
+        let mut next = None;
+        self.for_each_blocked(|slot| {
+            let at = self.replay_at[slot];
+            if at >= cycle && next.is_none_or(|n| at < n) {
+                next = Some(at);
+            }
+        });
+        next
     }
 
     /// Records that every source operand of the entry in `slot` is ready.
@@ -434,6 +488,9 @@ impl IssueQueue {
                 }
                 if self.view_pos[slot] != NO_VIEW {
                     return Err(format!("free slot {slot} still has a view position"));
+                }
+                if self.block_reason[slot].is_some() {
+                    return Err(format!("free IQ slot {slot} has a stale block reason"));
                 }
             }
         }

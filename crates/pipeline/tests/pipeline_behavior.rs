@@ -9,7 +9,7 @@ use condspec_mem::{CacheHierarchy, HierarchyConfig, LruUpdate, PageTable, Tlb, T
 use condspec_pipeline::policy::{
     BlockFilter, DispatchInfo, IqEntryView, MemAccessQuery, MemDecision, SecurityPolicy,
 };
-use condspec_pipeline::{Core, CoreConfig, ExitReason};
+use condspec_pipeline::{Core, CoreConfig, ExitReason, TraceEvent};
 
 fn core_with(config: CoreConfig, policy: Box<dyn SecurityPolicy>) -> Core {
     Core::new(
@@ -340,4 +340,118 @@ fn trace_records_the_pipeline_story() {
         core.trace_buffer().is_none(),
         "disable_trace takes the buffer"
     );
+}
+
+/// Program-order indices (= sequence numbers while nothing squashes) of
+/// the instructions [`busy_core`] watches.
+const BUSY_DATA_LOAD: u64 = 3;
+const BUSY_STORE: u64 = 4;
+const BUSY_BLOCKED_LOAD: u64 = 5;
+const BUSY_ADDS: u64 = 32;
+
+/// A store whose data comes from a bounced load, a second bounced load,
+/// and a run of adds that all wait on the first load's value.
+fn busy_program() -> condspec_isa::Program {
+    let mut b = ProgramBuilder::new(0x1000);
+    b.li(Reg::R1, 0x20000);
+    b.li(Reg::R8, 0x40000);
+    b.li(Reg::R9, 0x30000);
+    b.load(Reg::R2, Reg::R8, 0); // BUSY_DATA_LOAD
+    b.store(Reg::R2, Reg::R1, 0); // BUSY_STORE: address ready, data not
+    b.load(Reg::R3, Reg::R9, 0); // BUSY_BLOCKED_LOAD
+    for _ in 0..BUSY_ADDS {
+        b.alu(AluOp::Add, Reg::R5, Reg::R5, Reg::R2);
+    }
+    b.halt();
+    b.reserve(0x20000, 64);
+    b.data_u64s(0x30000, &[0xbeef]);
+    b.data_u64s(0x40000, &[5]);
+    b.build().expect("assembles")
+}
+
+/// A core stepped into a busy state: ROB, fetch queue and pending store
+/// data all non-empty, and a load bounced back into the IQ. Each load
+/// bounces 200 times; the adds waiting on the first load fill the
+/// (small) IQ, so dispatch stalls while fetch keeps queueing. The state
+/// is read off the public trace and statistics.
+fn busy_core() -> Core {
+    let mut config = CoreConfig::paper_default();
+    config.iq_entries = 16;
+    let mut core = core_with(config, Box::new(BlockFirstN::new(200)));
+    core.enable_trace(1 << 16);
+    core.load_program(std::sync::Arc::new(busy_program()));
+    for _ in 0..20_000 {
+        core.step();
+        assert_eq!(core.stats().mispredict_squashes, 0);
+        assert_eq!(core.stats().violation_squashes, 0);
+        let events: Vec<TraceEvent> = core
+            .trace_buffer()
+            .expect("tracing")
+            .events()
+            .copied()
+            .collect();
+        let issued = |seq| {
+            events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Issue { seq: s, .. } if *s == seq))
+        };
+        let completed = |seq| {
+            events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Complete { seq: s, .. } if *s == seq))
+        };
+        let store_data_pending = issued(BUSY_STORE) && !completed(BUSY_DATA_LOAD);
+        let load_bounced = matches!(
+            events.iter().rev().find(|e| matches!(
+                e,
+                TraceEvent::Issue { seq, .. } | TraceEvent::Block { seq, .. } if *seq == BUSY_BLOCKED_LOAD
+            )),
+            Some(TraceEvent::Block { .. })
+        );
+        let dispatched = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Dispatch { .. }))
+            .count();
+        let fetched = core.hierarchy().stats().l1i.total();
+        let fetch_queue_busy = fetched > dispatched as u64;
+        if store_data_pending && load_bounced && fetch_queue_busy {
+            assert!(!core.is_quiesced());
+            core.check_invariants().expect("busy state is consistent");
+            core.disable_trace();
+            return core;
+        }
+    }
+    panic!("the core never reached the busy state");
+}
+
+#[test]
+fn reloading_resetting_or_quiescing_a_busy_core_leaves_it_consistent() {
+    let mut reloaded = busy_core();
+    reloaded.load_program(std::sync::Arc::new(simple_load_program()));
+    reloaded
+        .check_invariants()
+        .expect("load_program leaves the core consistent");
+    assert_eq!(reloaded.run(100_000).exit, ExitReason::Halted);
+    assert_eq!(reloaded.read_arch_reg(Reg::R2), 0xfeed);
+
+    let mut reset = busy_core();
+    reset.reset_cold(Box::new(BlockFirstN::new(0)));
+    reset
+        .check_invariants()
+        .expect("reset_cold leaves the core consistent");
+    assert!(reset.is_quiesced());
+    reset.load_program(std::sync::Arc::new(simple_load_program()));
+    assert_eq!(reset.run(100_000).exit, ExitReason::Halted);
+    assert_eq!(reset.read_arch_reg(Reg::R2), 0xfeed);
+
+    let mut quiesced = busy_core();
+    quiesced.quiesce();
+    quiesced
+        .check_invariants()
+        .expect("quiesce leaves the core consistent");
+    assert!(quiesced.is_quiesced());
+    assert_eq!(quiesced.run(100_000).exit, ExitReason::Halted);
+    assert_eq!(quiesced.read_arch_reg(Reg::R3), 0xbeef);
+    assert_eq!(quiesced.read_arch_reg(Reg::R5), 5 * BUSY_ADDS);
+    assert_eq!(quiesced.read_memory(0x20000, 8), 5);
 }

@@ -521,6 +521,7 @@ fn run_job(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Request) 
         store_mode,
         |_, _| {},
     );
+    state.count_store_io_errors(store.as_ref());
     let condspec_engine::JobDone {
         outcome, source, ..
     } = results.remove(0);
@@ -809,7 +810,7 @@ fn store_stats(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<(
 
 /// The daemon's metrics registry: request, connection-error and
 /// submission counters plus the store's on-disk footprint and
-/// daemon-lifetime hit/insert totals.
+/// daemon-lifetime hit/insert/I-O-error totals.
 fn metrics(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
     let mut registry = MetricsRegistry::new();
     registry.set_counter("serve.requests", state.requests.load(Ordering::Relaxed));
@@ -822,6 +823,10 @@ fn metrics(state: &Arc<ServerState>, stream: &mut TcpStream) -> io::Result<()> {
     registry.set_counter(
         "store.inserts",
         state.store_inserts_total.load(Ordering::Relaxed),
+    );
+    registry.set_counter(
+        "store.io_errors",
+        state.store_io_errors_total.load(Ordering::Relaxed),
     );
     if let Some(root) = state.store_root.as_deref() {
         if let Ok(stats) = ResultStore::open(root).stats() {

@@ -169,6 +169,10 @@ pub struct ServerState {
     /// Store inserts (fresh simulations with the store on) across every
     /// finished submission.
     pub store_inserts_total: AtomicU64,
+    /// Failed store writes ([`ResultStore::io_errors`]) summed over every
+    /// store the daemon opened: submissions, `/api/jobs` runs and
+    /// distributed results.
+    pub(crate) store_io_errors_total: AtomicU64,
     /// Set by `POST /api/shutdown`; the accept loop exits on the next
     /// connection.
     pub shutdown: AtomicBool,
@@ -247,10 +251,19 @@ impl ServerState {
             connection_errors: AtomicU64::new(0),
             store_hits_total: AtomicU64::new(0),
             store_inserts_total: AtomicU64::new(0),
+            store_io_errors_total: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             started: std::time::Instant::now(),
             work: Mutex::new(Vec::new()),
             registry: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Adds `store`'s counted I/O failures to the daemon-lifetime total.
+    pub(crate) fn count_store_io_errors(&self, store: Option<&ResultStore>) {
+        if let Some(store) = store {
+            self.store_io_errors_total
+                .fetch_add(store.io_errors(), Ordering::Relaxed);
         }
     }
 
@@ -328,6 +341,9 @@ impl ServerState {
                     });
                     match outcome {
                         Ok(outcome) => {
+                            state
+                                .store_io_errors_total
+                                .fetch_add(outcome.store_io_errors, Ordering::Relaxed);
                             if state.store_root.is_some() {
                                 state
                                     .store_hits_total
@@ -359,11 +375,13 @@ impl ServerState {
                     } else {
                         state.workers
                     };
+                    let store = state.store_root.as_ref().map(ResultStore::open);
                     let (results, hits, inserts) =
-                        run_sampled_submission(&scaled, workers, state.store_root.clone(), |p| {
+                        run_sampled_submission(&scaled, workers, store.as_ref(), |p| {
                             let p = *p;
                             state.update(id, move |s| s.progress = p);
                         });
+                    state.count_store_io_errors(store.as_ref());
                     if state.store_root.is_some() {
                         state.store_hits_total.fetch_add(hits, Ordering::Relaxed);
                         state
@@ -611,11 +629,11 @@ impl ServerState {
         match outcome {
             Ok(doc) => {
                 if let Some(s) = &run.store {
-                    // Best-effort (a failure is counted in the store's
-                    // `io_errors`), with the reporting shard recorded as
-                    // the entry's owner — local workers sharing the
-                    // store see this job as already complete.
-                    let _ = s.insert_claimed(
+                    // Best-effort (a failure is counted in the daemon's
+                    // store I/O errors), with the reporting shard
+                    // recorded as the entry's owner — local workers
+                    // sharing the store see this job as already complete.
+                    let inserted = s.insert_claimed(
                         &job.store_key(),
                         &job.hash_hex(),
                         &job.label(),
@@ -623,6 +641,9 @@ impl ServerState {
                         &doc,
                         owner,
                     );
+                    if inserted.is_err() {
+                        self.store_io_errors_total.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
                 if let Err(e) = run.dir.write(&job.hash_hex(), &doc) {
                     return Err(format!("artifact write failed: {e}"));
@@ -775,10 +796,9 @@ impl ServerState {
 fn run_sampled_submission(
     sweep: &Sweep,
     workers: usize,
-    store_root: Option<PathBuf>,
+    store: Option<&ResultStore>,
     mut on_progress: impl FnMut(&SweepProgress),
 ) -> (SweepResults, u64, u64) {
-    let store = store_root.map(ResultStore::open);
     let programs = Arc::new(ProgramCache::new());
     let mut results = SweepResults::new();
     let (mut window_hits, mut window_inserts) = (0u64, 0u64);
@@ -792,7 +812,7 @@ fn run_sampled_submission(
     };
     for job in &sweep.jobs {
         match SampledBenchSpec::from_bench_job(job) {
-            Some(spec) => match run_sampled_bench_with(&spec, workers, &programs, store.as_ref()) {
+            Some(spec) => match run_sampled_bench_with(&spec, workers, &programs, store) {
                 Ok(outcome) => {
                     window_hits += outcome.store_hits as u64;
                     window_inserts += outcome.executed as u64;
@@ -815,7 +835,7 @@ fn run_sampled_submission(
                 Err(_) => progress.failed += 1,
             },
             None => {
-                let store_mode = store.as_ref().map(|s| (s, None));
+                let store_mode = store.map(|s| (s, None));
                 let mut run = run_jobs(
                     std::slice::from_ref(job),
                     1,

@@ -577,7 +577,7 @@ fn daemon_round_trip_with_warm_store_second_submission() {
     store
         .insert_checkpoint(
             &key,
-            "kind=checkpoint;workload=gcc;machine=paper-default;total=1000;inst=500",
+            &condspec_engine::checkpoint_identity("gcc", "paper-default", 1000, 500),
             "gcc@500",
             7,
             &Json::object(vec![("schema", Json::from("condspec-checkpoint-v1"))]),
@@ -722,4 +722,54 @@ fn garbage_connections_are_counted() {
     assert_eq!(status, 200, "{body}");
     daemon.join().expect("daemon thread exits cleanly");
     std::fs::remove_dir_all(&runs_root).ok();
+}
+
+#[test]
+fn failed_store_writes_reach_the_metrics() {
+    // A regular file where the store root should be: every store write
+    // of the submission fails, whoever runs the test.
+    let runs_root = scratch("unwritable-runs");
+    let store_root = scratch("unwritable-store");
+    std::fs::write(&store_root, "not a directory").expect("plant file");
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        runs_root: runs_root.clone(),
+        store_root: Some(store_root.clone()),
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || server.run().expect("serve"));
+
+    let io_errors = || {
+        let (status, body) = get(addr, "/api/metrics");
+        assert_eq!(status, 200, "{body}");
+        Json::parse(&body)
+            .expect("metrics JSON")
+            .get("store.io_errors")
+            .and_then(Json::as_u64)
+            .expect("store.io_errors counter")
+    };
+    assert_eq!(io_errors(), 0);
+    let (status, body) = post(addr, "/api/sweeps", "{\"sweep\":\"leaks\"}");
+    assert_eq!(status, 202, "{body}");
+    let id = Json::parse(&body)
+        .expect("submission receipt")
+        .get("submission")
+        .and_then(Json::as_u64)
+        .expect("id");
+    let doc = await_submission(addr, id);
+    assert_eq!(
+        doc.get("status").and_then(Json::as_str),
+        Some("done"),
+        "a failed store write must not fail the submission: {}",
+        doc.render()
+    );
+    assert!(io_errors() > 0, "the failed inserts were not counted");
+
+    let (status, body) = post(addr, "/api/shutdown", "");
+    assert_eq!(status, 200, "{body}");
+    daemon.join().expect("daemon thread exits cleanly");
+    std::fs::remove_dir_all(&runs_root).ok();
+    std::fs::remove_file(&store_root).ok();
 }
