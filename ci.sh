@@ -137,11 +137,12 @@ store_root="target/perf-smoke/store"
 runs_cold="target/perf-smoke/runs-cold"
 runs_warm="target/perf-smoke/runs-warm"
 rm -rf "$store_root" "$runs_cold" "$runs_warm"
+cold_out="target/perf-smoke/fig5-cold.out"
 cold_log="target/perf-smoke/fig5-cold.log"
 warm_log="target/perf-smoke/fig5-warm.log"
 ./target/release/condspec sweep fig5 --jobs 2 --iters 2 --warmup 1 \
     --store-root "$store_root" --root "$runs_cold" \
-    >/dev/null 2> "$cold_log"
+    > "$cold_out" 2> "$cold_log"
 grep -q "result-store: 0 hits, 110 misses, 110 inserts" "$cold_log" || {
     echo "cold fig5 store counters unexpected; log says:" >&2
     grep "result-store" "$cold_log" >&2 || echo "(no result-store line)" >&2
@@ -161,6 +162,30 @@ grep -q " 0 executed, 110 store hits," "$warm_out" || {
     grep "^sweep " "$warm_out" >&2
     exit 1
 }
+# The cold and warm runs render the same table (everything above the
+# final `sweep …` summary line, which counts executed vs store-served
+# jobs), and the scaled sweep fills every cell, Average row included.
+python3 - "$cold_out" "$warm_out" <<'EOF'
+import sys
+
+def rendered(path):
+    lines = open(path).read().splitlines()
+    assert lines and lines[-1].startswith("sweep "), f"{path} ends without a summary line"
+    return lines[:-1]
+
+cold, warm = rendered(sys.argv[1]), rendered(sys.argv[2])
+assert cold == warm, "the warm run rendered a different table than the cold run"
+start = next(i for i, l in enumerate(cold) if l.startswith("Benchmark"))
+rows = []
+for line in cold[start + 2:]:  # below the header and its rule
+    if not line.strip():
+        break
+    rows.append(line.split())
+assert len(rows) == 23 and rows[-1][0] == "Average", f"unexpected fig5 table: {rows}"
+empty = [row[0] for row in rows if "-" in row]
+assert not empty, f"fig5 rows with an empty cell: {empty}"
+print(f"render smoke ok: cold and warm fig5 tables identical, {len(rows)} rows filled")
+EOF
 # The job artifacts of the cold and warm runs are byte-identical; only
 # manifest.json differs (its per-job `source` column records simulated
 # vs store provenance).

@@ -42,6 +42,18 @@ def await_done(base, sub_id):
     sys.exit(f"submission {sub_id} did not finish in {TIMEOUT}s")
 
 
+def table_rows(report):
+    """The rendered table's rows below its `Benchmark` header, as cells."""
+    lines = report.splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith("Benchmark"))
+    rows = []
+    for line in lines[start + 2:]:  # below the header and its rule
+        if not line.strip():
+            break
+        rows.append(line.split())
+    return rows
+
+
 def main():
     binary, scratch = sys.argv[1], Path(sys.argv[2])
     runs = scratch / "serve-runs"
@@ -87,6 +99,15 @@ def main():
         rep2 = api(base, f"/api/sweeps/{receipt2['submission']}/report", raw=True)
         by_id = api(base, f"/api/report/{receipt['sweep_id']}", raw=True)
         assert rep1 and rep1 == rep2 == by_id, "report text diverged"
+
+        # The scaled sweep renders from its own jobs: no benchmark cell
+        # is empty, and the Average row fills the overhead column (its
+        # cycle and stall columns are never averaged).
+        rows = table_rows(rep1)
+        assert len(rows) == 23 and rows[-1][0] == "Average", rep1
+        for row in rows[:-1]:
+            assert "-" not in row, f"empty cell in {row}: {rep1}"
+        assert rows[-1][3] != "-", f"empty average overhead: {rep1}"
 
         # Store stats: one entry per job, saved for the Actions artifact.
         stats = api(base, "/api/store/stats")

@@ -590,10 +590,10 @@ fn cmd_report(a: ReportArgs) -> CmdResult {
 }
 
 fn cmd_sweep(a: SweepArgs) -> CmdResult {
-    let sweep = sweep_by_name(&a.name)?;
+    let sweep = sweep_by_name(&a.name)?.scaled(a.iters, a.warmup);
     let name = &a.name;
     if let Some(addr) = &a.attach {
-        return run_attached_sweep(addr, name, a.iters, a.warmup);
+        return run_attached_sweep(addr, &sweep);
     }
     // Any sharding knob switches the scheduler to claim-based
     // draining, which needs a store as the shared substrate.
@@ -607,8 +607,6 @@ fn cmd_sweep(a: SweepArgs) -> CmdResult {
         progress: a.progress,
         telemetry: a.telemetry,
         store: store_path.clone(),
-        bench_iterations: a.iters,
-        bench_warmup: a.warmup,
         claim: claim_mode.then(|| claim_options(owner.clone(), a.steal_after_ms)),
         ..Default::default()
     };
@@ -638,12 +636,7 @@ fn cmd_sweep(a: SweepArgs) -> CmdResult {
             Err(e) => eprintln!("sweep {name}: cannot wait for worker shard {shard}: {e}"),
         }
     }
-    // Results are keyed by the scaled jobs' hashes, so render
-    // through the same scaled sweep that ran.
-    println!(
-        "{}",
-        sweep.scaled(a.iters, a.warmup).render(&outcome.results)
-    );
+    println!("{}", sweep.render(&outcome.results));
     println!(
         "sweep {}: {} executed, {} store hits, {} skipped, {} failed — artifacts in {}",
         outcome.sweep_id,
@@ -970,17 +963,14 @@ fn guard(
 /// `condspec sweep --attach` — submit the sweep to a running daemon as
 /// a distributed run, poll its status until it finishes (printing
 /// progress transitions to stderr), then print the rendered report.
-fn run_attached_sweep(
-    addr: &str,
-    name: &str,
-    iters: Option<u64>,
-    warmup: Option<u64>,
-) -> CmdResult {
+fn run_attached_sweep(addr: &str, sweep: &Sweep) -> CmdResult {
     use condspec_serve::http::{client_get, client_post};
+    let name = sweep.name;
     let mut fields = vec![
         ("sweep", Json::from(name)),
         ("distributed", Json::from(true)),
     ];
+    let (iters, warmup) = sweep.scale();
     if let Some(i) = iters {
         fields.push(("iters", Json::from(i)));
     }

@@ -239,6 +239,27 @@ impl JobSpec {
         }
     }
 
+    /// The job with its benchmark program rescaled to the given
+    /// measured/warm-up iteration counts (`None` keeps the job's own
+    /// value). Window jobs take only `iterations`: they have no warm-up
+    /// program, as each window warms up in detail from its checkpoint.
+    /// Attack, variant and leak-probe jobs are returned unchanged.
+    pub fn scaled(mut self, iterations: Option<u64>, warmup: Option<u64>) -> JobSpec {
+        match &mut self.workload {
+            Workload::Bench {
+                iterations: i,
+                warmup: w,
+                ..
+            } => {
+                *i = iterations.unwrap_or(*i);
+                *w = warmup.unwrap_or(*w);
+            }
+            Workload::BenchWindow { iterations: i, .. } => *i = iterations.unwrap_or(*i),
+            Workload::Attack { .. } | Workload::Variant { .. } | Workload::LeakProbe { .. } => {}
+        }
+        self
+    }
+
     /// The canonical `field=value;...` identity string. Every field
     /// that influences the result appears here; fields that cannot
     /// influence a workload class (e.g. the machine preset of an

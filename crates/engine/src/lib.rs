@@ -79,13 +79,6 @@ pub struct SweepOptions {
     pub root: PathBuf,
     /// Persistent result-store root; `None` disables the store.
     pub store: Option<PathBuf>,
-    /// Override the measured-run iteration count of every benchmark
-    /// job (`--iters`). Changes job hashes and the sweep id: a scaled
-    /// sweep is a different computation.
-    pub bench_iterations: Option<u64>,
-    /// Override the warm-up iteration count of every benchmark job
-    /// (`--warmup`).
-    pub bench_warmup: Option<u64>,
     /// Suppress stderr progress lines.
     pub quiet: bool,
     /// Render progress as a single live status line (overwritten in
@@ -109,8 +102,6 @@ impl Default for SweepOptions {
             resume: false,
             root: PathBuf::from(DEFAULT_ROOT),
             store: None,
-            bench_iterations: None,
-            bench_warmup: None,
             quiet: false,
             progress: false,
             telemetry: false,
@@ -161,6 +152,9 @@ pub struct SweepOutcome {
     pub skipped: usize,
     /// Failed jobs as `(hash, label, error)`.
     pub failed: Vec<(String, String, String)>,
+    /// Store entries this run wrote: [`ResultStore::inserts`], 0 without
+    /// a store. Unlike `executed`, a failed write is not counted.
+    pub store_inserts: u64,
     /// Failed persistent-store writes (inserts, lease claims, heartbeats,
     /// releases) this run counted: [`ResultStore::io_errors`], 0 without
     /// a store.
@@ -179,9 +173,10 @@ fn eta(done: usize, total: usize, started: Instant) -> String {
     format!("{:02}:{:02}", remaining / 60, remaining % 60)
 }
 
-/// Runs every job of `sweep` (honoring `--resume` and the persistent
-/// store), writes artifacts and the manifest, and returns the collected
-/// results.
+/// Runs every job of `sweep` as given (honoring `--resume` and the
+/// persistent store), writes artifacts and the manifest, and returns the
+/// collected results. A scaled sweep ([`Sweep::scaled`]) runs, records
+/// and renders its own jobs.
 ///
 /// Progress and ETA go to stderr only; nothing timing-dependent reaches
 /// the artifacts, so two runs of the same sweep produce byte-identical
@@ -206,11 +201,6 @@ pub fn run_sweep_observed(
     opts: &SweepOptions,
     mut observer: impl FnMut(&SweepProgress),
 ) -> io::Result<SweepOutcome> {
-    // Apply iteration scaling up front: everything downstream (hashes,
-    // sweep id, store keys, the manifest) sees the scaled sweep.
-    let sweep = sweep
-        .clone()
-        .scaled(opts.bench_iterations, opts.bench_warmup);
     let sweep_id = sweep.sweep_id();
     let dir = SweepDir::create(&opts.root, &sweep_id)?;
     let workers = if opts.workers == 0 {
@@ -362,14 +352,7 @@ pub fn run_sweep_observed(
             Err(message) => failed.push((job.hash_hex(), job.label(), message)),
         }
     }
-    write_sweep_manifest(
-        &dir,
-        &sweep,
-        opts.bench_iterations,
-        opts.bench_warmup,
-        &results,
-        provenance,
-    )?;
+    write_sweep_manifest(&dir, sweep, &results, provenance)?;
 
     Ok(SweepOutcome {
         dir: dir.path().to_path_buf(),
@@ -379,6 +362,7 @@ pub fn run_sweep_observed(
         remote: progress.remote,
         skipped,
         failed,
+        store_inserts: store.as_ref().map_or(0, ResultStore::inserts),
         store_io_errors: store.as_ref().map_or(0, ResultStore::io_errors),
         results,
     })
@@ -386,8 +370,8 @@ pub fn run_sweep_observed(
 
 /// Writes `sweep`'s manifest into `dir`: one row per job in sweep
 /// order, `ok` iff the job's artifact is in `results`, each with its
-/// `(source, owner)` from `provenance`. `sweep` is the scaled sweep
-/// that ran, and `bench_iterations`/`bench_warmup` its scaling. This is
+/// `(source, owner)` from `provenance`, and the sweep's own scale
+/// ([`Sweep::scaled`]) as `bench_iterations`/`bench_warmup`. This is
 /// the one place a job's manifest status is derived, for [`run_sweep`]
 /// and the serve daemon's distributed submissions alike.
 ///
@@ -397,8 +381,6 @@ pub fn run_sweep_observed(
 pub fn write_sweep_manifest(
     dir: &SweepDir,
     sweep: &Sweep,
-    bench_iterations: Option<u64>,
-    bench_warmup: Option<u64>,
     results: &SweepResults,
     provenance: impl IntoIterator<Item = (JobSource, Option<String>)>,
 ) -> io::Result<()> {
@@ -422,6 +404,7 @@ pub fn write_sweep_manifest(
             }
         })
         .collect();
+    let (bench_iterations, bench_warmup) = sweep.scale();
     dir.write_manifest(
         &ManifestInfo {
             sweep_name: sweep.name,

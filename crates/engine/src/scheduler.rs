@@ -350,20 +350,11 @@ fn heartbeat(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::Workload;
     use condspec::DefenseConfig;
     use std::path::PathBuf;
 
     fn tiny_job(benchmark: &'static str) -> JobSpec {
-        let mut j = JobSpec::bench(benchmark, DefenseConfig::Origin);
-        if let Workload::Bench {
-            iterations, warmup, ..
-        } = &mut j.workload
-        {
-            *iterations = 2;
-            *warmup = 1;
-        }
-        j
+        JobSpec::bench(benchmark, DefenseConfig::Origin).scaled(Some(2), Some(1))
     }
 
     /// A job that cannot halt in its 10-cycle budget: `run_to_halt`

@@ -3,13 +3,17 @@
 //! table.
 //!
 //! Builders and renderers share the same per-benchmark job-construction
-//! helpers, so a renderer always looks up exactly the hashes its
-//! builder scheduled. A renderer tolerates missing artifacts (failed or
-//! skipped jobs) by printing `-` in the affected cells rather than
-//! refusing to render the rest of the table.
+//! helpers. A [`Sweep`] records the `--iters/--warmup` scale it was
+//! built with, and every renderer lookup passes the helper's job through
+//! that scale before hashing, so a scaled sweep renders from the
+//! artifacts of the jobs that ran. Lookups are keyed by job hash, never
+//! by position, so a sweep renders the same whatever order its jobs are
+//! in. A renderer tolerates missing artifacts (failed or skipped jobs)
+//! by printing `-` in the affected cells rather than refusing to render
+//! the rest of the table.
 
 use crate::hash::{fnv1a64, hex16};
-use crate::job::{JobSpec, MachinePreset, Workload};
+use crate::job::{JobSpec, MachinePreset};
 use condspec::{DefenseConfig, LruPolicy};
 use condspec_attacks::AttackScenario;
 use condspec_stats::table::{percent, percent_value};
@@ -33,6 +37,10 @@ pub struct Sweep {
     pub title: &'static str,
     /// Every job of the sweep, in deterministic order.
     pub jobs: Vec<JobSpec>,
+    /// The `(iterations, warmup)` that [`Sweep::scaled`] applied; kept
+    /// private so that only scaling the jobs can set it.
+    iterations: Option<u64>,
+    warmup: Option<u64>,
 }
 
 impl Sweep {
@@ -40,6 +48,17 @@ impl Sweep {
     pub const NAMES: [&'static str; 7] = [
         "fig5", "table4", "table5", "table6", "lru", "icache", "leaks",
     ];
+
+    /// An unscaled sweep of `jobs`.
+    pub fn new(name: &'static str, title: &'static str, jobs: Vec<JobSpec>) -> Sweep {
+        Sweep {
+            name,
+            title,
+            jobs,
+            iterations: None,
+            warmup: None,
+        }
+    }
 
     /// Builds a sweep by name.
     pub fn by_name(name: &str) -> Option<Sweep> {
@@ -67,50 +86,42 @@ impl Sweep {
         format!("{}-{}", self.name, hex16(fnv1a64(all.as_bytes())))
     }
 
-    /// Rescales every benchmark job to the given measured/warm-up
-    /// iteration counts (`None` keeps the sweep's own value). Attack
-    /// and variant jobs are untouched. Scaling changes job hashes and
-    /// therefore the sweep id — a scaled sweep is honestly a different
+    /// Rescales every job through [`JobSpec::scaled`] (`None` keeps the
+    /// sweep's own value) and records the scale, so the manifest and
+    /// the renderers see it. Scaling changes job hashes and therefore
+    /// the sweep id — a scaled sweep is honestly a different
     /// computation, with its own artifacts and store entries.
     pub fn scaled(mut self, iterations: Option<u64>, warmup: Option<u64>) -> Sweep {
-        for job in &mut self.jobs {
-            match &mut job.workload {
-                Workload::Bench {
-                    iterations: i,
-                    warmup: w,
-                    ..
-                } => {
-                    if let Some(iterations) = iterations {
-                        *i = iterations;
-                    }
-                    if let Some(warmup) = warmup {
-                        *w = warmup;
-                    }
-                }
-                // Window jobs have no warm-up program: each window
-                // warms up in detail from its checkpoint instead.
-                Workload::BenchWindow { iterations: i, .. } => {
-                    if let Some(iterations) = iterations {
-                        *i = iterations;
-                    }
-                }
-                Workload::Attack { .. } | Workload::Variant { .. } | Workload::LeakProbe { .. } => {
-                }
-            }
-        }
+        self.jobs = self
+            .jobs
+            .into_iter()
+            .map(|job| job.scaled(iterations, warmup))
+            .collect();
+        self.iterations = iterations.or(self.iterations);
+        self.warmup = warmup.or(self.warmup);
         self
+    }
+
+    /// The measured-run and warm-up iteration counts [`Sweep::scaled`]
+    /// applied (`--iters/--warmup`); `None` where unscaled.
+    pub fn scale(&self) -> (Option<u64>, Option<u64>) {
+        (self.iterations, self.warmup)
     }
 
     /// Renders the sweep's table from its artifacts.
     pub fn render(&self, results: &SweepResults) -> String {
+        let artifacts = Artifacts {
+            results,
+            sweep: self,
+        };
         let table = match self.name {
-            "fig5" => render_fig5(results),
-            "table4" => render_table4(results),
-            "table5" => render_table5(results),
-            "table6" => render_table6(results),
-            "lru" => render_lru(results),
-            "icache" => render_icache(results),
-            "leaks" => render_leaks(results),
+            "fig5" => render_fig5(&artifacts),
+            "table4" => render_table4(&artifacts),
+            "table5" => render_table5(&artifacts),
+            "table6" => render_table6(&artifacts),
+            "lru" => render_lru(&artifacts),
+            "icache" => render_icache(&artifacts),
+            "leaks" => render_leaks(&artifacts),
             _ => unreachable!("sweeps are only constructed by name"),
         };
         format!("\n{}\n\n{table}", self.title)
@@ -121,16 +132,45 @@ impl Sweep {
 // Artifact accessors
 // ---------------------------------------------------------------------
 
-fn artifact<'r>(results: &'r SweepResults, job: &JobSpec) -> Option<&'r Json> {
-    results.get(&job.hash_hex())
+/// A sweep's artifacts as its renderers read them: each lookup passes
+/// the job through the sweep's own scale before hashing.
+struct Artifacts<'r> {
+    results: &'r SweepResults,
+    sweep: &'r Sweep,
 }
 
-fn report_f64(results: &SweepResults, job: &JobSpec, field: &str) -> Option<f64> {
-    artifact(results, job)?.get("report")?.get(field)?.as_f64()
+impl Artifacts<'_> {
+    fn get(&self, job: &JobSpec) -> Option<&Json> {
+        let job = job.clone().scaled(self.sweep.iterations, self.sweep.warmup);
+        self.results.get(&job.hash_hex())
+    }
+
+    fn report_f64(&self, job: &JobSpec, field: &str) -> Option<f64> {
+        self.get(job)?.get("report")?.get(field)?.as_f64()
+    }
+
+    fn report_cycles(&self, job: &JobSpec) -> Option<f64> {
+        Some(self.report_f64(job, "cycles")?.max(1.0))
+    }
+
+    fn leak_u64(&self, job: &JobSpec, field: &str) -> Option<u64> {
+        self.get(job)?.get("leaks")?.get(field)?.as_u64()
+    }
 }
 
-fn report_cycles(results: &SweepResults, job: &JobSpec) -> Option<f64> {
-    Some(report_f64(results, job, "cycles")?.max(1.0))
+/// `x / base`, when both ran.
+fn ratio(base: Option<f64>, x: Option<f64>) -> Option<f64> {
+    Some(x? / base?)
+}
+
+/// The overhead of `x` over `base` in percent, when both ran.
+fn overhead_pct(base: Option<f64>, x: Option<f64>) -> Option<f64> {
+    ratio(base, x).map(|r| (r - 1.0) * 100.0)
+}
+
+/// A column's mean; `None` when no row of the column has data.
+fn column_mean(column: &[f64]) -> Option<f64> {
+    (!column.is_empty()).then(|| arithmetic_mean(column))
 }
 
 fn fmt3(v: Option<f64>) -> String {
@@ -149,15 +189,13 @@ fn fmt_signed_pct(v: Option<f64>) -> String {
     v.map_or_else(|| "-".to_string(), |v| format!("{v:+.2}%"))
 }
 
+fn fmt_cycles(v: Option<f64>) -> String {
+    v.map_or_else(|| "-".to_string(), |v| format!("{v:.0}"))
+}
+
 fn mean_row(columns: &[Vec<f64>], fmt: impl Fn(Option<f64>) -> String) -> Vec<String> {
     let mut row = vec!["Average".to_string()];
-    row.extend(columns.iter().map(|c| {
-        if c.is_empty() {
-            "-".to_string()
-        } else {
-            fmt(Some(arithmetic_mean(c)))
-        }
-    }));
+    row.extend(columns.iter().map(|c| fmt(column_mean(c))));
     row
 }
 
@@ -180,14 +218,14 @@ fn fig5_jobs_for(benchmark: &'static str) -> [JobSpec; 5] {
 /// Figure 5: normalized execution time of the three mechanisms plus the
 /// §VI.C branch-only ablation, on the 22-benchmark suite.
 pub fn fig5() -> Sweep {
-    Sweep {
-        name: "fig5",
-        title: "Figure 5 — normalized execution time (Origin = 1.0)",
-        jobs: suite().iter().flat_map(|s| fig5_jobs_for(s.name)).collect(),
-    }
+    Sweep::new(
+        "fig5",
+        "Figure 5 — normalized execution time (Origin = 1.0)",
+        suite().iter().flat_map(|s| fig5_jobs_for(s.name)).collect(),
+    )
 }
 
-fn render_fig5(results: &SweepResults) -> String {
+fn render_fig5(artifacts: &Artifacts) -> String {
     let mut table = TextTable::with_columns(&[
         "Benchmark",
         "Baseline",
@@ -198,13 +236,10 @@ fn render_fig5(results: &SweepResults) -> String {
     let mut columns: [Vec<f64>; 4] = Default::default();
     for spec in suite() {
         let jobs = fig5_jobs_for(spec.name);
-        let origin = report_cycles(results, &jobs[0]);
+        let origin = artifacts.report_cycles(&jobs[0]);
         let mut cells = vec![spec.name.to_string()];
         for (col, job) in columns.iter_mut().zip(&jobs[1..]) {
-            let norm = match (origin, report_cycles(results, job)) {
-                (Some(o), Some(c)) => Some(c / o),
-                _ => None,
-            };
+            let norm = ratio(origin, artifacts.report_cycles(job));
             if let Some(v) = norm {
                 col.push(v);
             }
@@ -244,14 +279,14 @@ pub fn table4() -> Sweep {
             jobs.push(JobSpec::variant(kind, defense));
         }
     }
-    Sweep {
-        name: "table4",
-        title: "Table IV — defended? (per mechanism, measured by end-to-end attack)",
+    Sweep::new(
+        "table4",
+        "Table IV — defended? (per mechanism, measured by end-to-end attack)",
         jobs,
-    }
+    )
 }
 
-fn render_table4(results: &SweepResults) -> String {
+fn render_table4(artifacts: &Artifacts) -> String {
     let mut table = TextTable::with_columns(&[
         "Attack Classification",
         "Origin",
@@ -266,7 +301,7 @@ fn render_table4(results: &SweepResults) -> String {
         let mut row_matches = Some(true);
         for defense in DefenseConfig::ALL {
             let job = JobSpec::attack(scenario, defense);
-            match artifact(results, &job) {
+            match artifacts.get(&job) {
                 Some(doc) => {
                     let defended = doc.get("defended").and_then(Json::as_bool).unwrap_or(false);
                     let matches = doc
@@ -311,7 +346,7 @@ fn render_table4(results: &SweepResults) -> String {
         for defense in DefenseConfig::ALL {
             let job = JobSpec::variant(kind, defense);
             cells.push(
-                match artifact(results, &job).and_then(|d| d.get("leaked")?.as_bool()) {
+                match artifacts.get(&job).and_then(|d| d.get("leaked")?.as_bool()) {
                     Some(true) => "LEAKS".to_string(),
                     Some(false) => "blocked".to_string(),
                     None => "-".to_string(),
@@ -342,17 +377,17 @@ fn table5_jobs_for(benchmark: &'static str) -> [JobSpec; 4] {
 /// Table V: per-benchmark filter analysis (blocked rates, suspect hit
 /// rate, S-Pattern mismatch rate).
 pub fn table5() -> Sweep {
-    Sweep {
-        name: "table5",
-        title: "Table V — filter analysis",
-        jobs: suite()
+    Sweep::new(
+        "table5",
+        "Table V — filter analysis",
+        suite()
             .iter()
             .flat_map(|s| table5_jobs_for(s.name))
             .collect(),
-    }
+    )
 }
 
-fn render_table5(results: &SweepResults) -> String {
+fn render_table5(artifacts: &Artifacts) -> String {
     let mut table = TextTable::with_columns(&[
         "Benchmark",
         "L1 Hit Rate",
@@ -366,12 +401,12 @@ fn render_table5(results: &SweepResults) -> String {
     for spec in suite() {
         let [origin, baseline, cachehit, tpbuf] = table5_jobs_for(spec.name);
         let values = [
-            report_f64(results, &origin, "l1d_hit_rate"),
-            report_f64(results, &baseline, "blocked_rate"),
-            report_f64(results, &cachehit, "blocked_rate"),
-            report_f64(results, &cachehit, "suspect_hit_rate"),
-            report_f64(results, &tpbuf, "blocked_rate"),
-            report_f64(results, &tpbuf, "s_pattern_mismatch_rate"),
+            artifacts.report_f64(&origin, "l1d_hit_rate"),
+            artifacts.report_f64(&baseline, "blocked_rate"),
+            artifacts.report_f64(&cachehit, "blocked_rate"),
+            artifacts.report_f64(&cachehit, "suspect_hit_rate"),
+            artifacts.report_f64(&tpbuf, "blocked_rate"),
+            artifacts.report_f64(&tpbuf, "s_pattern_mismatch_rate"),
         ];
         let mut cells = vec![spec.name.to_string()];
         for (col, v) in columns.iter_mut().zip(values) {
@@ -395,14 +430,10 @@ fn render_table5(results: &SweepResults) -> String {
 // ---------------------------------------------------------------------
 
 fn table6_jobs_for(benchmark: &'static str, preset: MachinePreset) -> [JobSpec; 4] {
-    let mut jobs = table5_jobs_for(benchmark);
-    for job in &mut jobs {
-        job.machine = preset;
-        if let Workload::Bench { iterations, .. } = &mut job.workload {
-            *iterations = TABLE6_ITERATIONS;
-        }
-    }
-    jobs
+    table5_jobs_for(benchmark).map(|job| JobSpec {
+        machine: preset,
+        ..job.scaled(Some(TABLE6_ITERATIONS), None)
+    })
 }
 
 /// Table VI: overhead of the three mechanisms on A57-like, I7-like and
@@ -414,14 +445,14 @@ pub fn table6() -> Sweep {
             jobs.extend(table6_jobs_for(spec.name, preset));
         }
     }
-    Sweep {
-        name: "table6",
-        title: "Table VI — performance overhead (%) by core complexity",
+    Sweep::new(
+        "table6",
+        "Table VI — performance overhead (%) by core complexity",
         jobs,
-    }
+    )
 }
 
-fn render_table6(results: &SweepResults) -> String {
+fn render_table6(artifacts: &Artifacts) -> String {
     let mut table = TextTable::with_columns(&[
         "Benchmark",
         "A57 BL",
@@ -440,12 +471,9 @@ fn render_table6(results: &SweepResults) -> String {
         let mut idx = 0;
         for preset in MachinePreset::SENSITIVITY {
             let jobs = table6_jobs_for(spec.name, preset);
-            let origin = report_cycles(results, &jobs[0]);
+            let origin = artifacts.report_cycles(&jobs[0]);
             for job in &jobs[1..] {
-                let overhead = match (origin, report_cycles(results, job)) {
-                    (Some(o), Some(c)) => Some((c / o - 1.0) * 100.0),
-                    _ => None,
-                };
+                let overhead = overhead_pct(origin, artifacts.report_cycles(job));
                 if let Some(v) = overhead {
                     columns[idx].push(v);
                 }
@@ -479,14 +507,14 @@ fn lru_jobs_for(benchmark: &'static str) -> [JobSpec; 3] {
 /// §VII.A: the no-update and delayed-update secure LRU policies on top
 /// of Cache-hit + TPBuf.
 pub fn lru() -> Sweep {
-    Sweep {
-        name: "lru",
-        title: "Section VII.A — secure LRU update policies (on Cache-hit + TPBuf)",
-        jobs: suite().iter().flat_map(|s| lru_jobs_for(s.name)).collect(),
-    }
+    Sweep::new(
+        "lru",
+        "Section VII.A — secure LRU update policies (on Cache-hit + TPBuf)",
+        suite().iter().flat_map(|s| lru_jobs_for(s.name)).collect(),
+    )
 }
 
-fn render_lru(results: &SweepResults) -> String {
+fn render_lru(artifacts: &Artifacts) -> String {
     let mut table = TextTable::with_columns(&[
         "Benchmark",
         "Normal LRU (cycles)",
@@ -497,32 +525,28 @@ fn render_lru(results: &SweepResults) -> String {
     let mut columns: [Vec<f64>; 2] = Default::default();
     for spec in suite() {
         let [normal, none, delayed] = lru_jobs_for(spec.name);
-        let base = report_cycles(results, &normal);
-        let overhead = |job: &JobSpec| match (base, report_cycles(results, job)) {
-            (Some(b), Some(c)) => Some((c / b - 1.0) * 100.0),
-            _ => None,
-        };
-        let none_overhead = overhead(&none);
-        let delayed_overhead = overhead(&delayed);
+        let base = artifacts.report_cycles(&normal);
+        let none_overhead = overhead_pct(base, artifacts.report_cycles(&none));
+        let delayed_overhead = overhead_pct(base, artifacts.report_cycles(&delayed));
         if let (Some(n), Some(d)) = (none_overhead, delayed_overhead) {
             columns[0].push(n);
             columns[1].push(d);
         }
         table.row(vec![
             spec.name.to_string(),
-            base.map_or_else(|| "-".to_string(), |b| format!("{b:.0}")),
+            fmt_cycles(base),
             fmt_signed_pct(none_overhead),
             fmt_signed_pct(delayed_overhead),
             fmt_signed_pct(none_overhead.zip(delayed_overhead).map(|(n, d)| n - d)),
         ]);
     }
-    let (avg_none, avg_delayed) = (arithmetic_mean(&columns[0]), arithmetic_mean(&columns[1]));
+    let [avg_none, avg_delayed] = columns.each_ref().map(|c| column_mean(c));
     table.row(vec![
         "Average".to_string(),
         "-".to_string(),
-        fmt_signed_pct(Some(avg_none)),
-        fmt_signed_pct(Some(avg_delayed)),
-        fmt_signed_pct(Some(avg_none - avg_delayed)),
+        fmt_signed_pct(avg_none),
+        fmt_signed_pct(avg_delayed),
+        fmt_signed_pct(avg_none.zip(avg_delayed).map(|(n, d)| n - d)),
     ]);
     format!(
         "{table}\npaper reference: no-update costs +0.71% on average; \
@@ -543,17 +567,17 @@ fn icache_jobs_for(benchmark: &'static str) -> [JobSpec; 2] {
 
 /// §VII.B: the ICache-hit filter stacked on Cache-hit + TPBuf.
 pub fn icache() -> Sweep {
-    Sweep {
-        name: "icache",
-        title: "Section VII.B — ICache-hit filter on top of Cache-hit + TPBuf",
-        jobs: suite()
+    Sweep::new(
+        "icache",
+        "Section VII.B — ICache-hit filter on top of Cache-hit + TPBuf",
+        suite()
             .iter()
             .flat_map(|s| icache_jobs_for(s.name))
             .collect(),
-    }
+    )
 }
 
-fn render_icache(results: &SweepResults) -> String {
+fn render_icache(artifacts: &Artifacts) -> String {
     let mut table = TextTable::with_columns(&[
         "Benchmark",
         "CS+TPBuf (cycles)",
@@ -564,21 +588,19 @@ fn render_icache(results: &SweepResults) -> String {
     let mut overheads = Vec::new();
     for spec in suite() {
         let [base, filtered] = icache_jobs_for(spec.name);
-        let base_cycles = report_cycles(results, &base);
-        let filtered_cycles = report_cycles(results, &filtered);
-        let overhead = match (base_cycles, filtered_cycles) {
-            (Some(b), Some(f)) => Some((f / b - 1.0) * 100.0),
-            _ => None,
-        };
+        let base_cycles = artifacts.report_cycles(&base);
+        let filtered_cycles = artifacts.report_cycles(&filtered);
+        let overhead = overhead_pct(base_cycles, filtered_cycles);
         if let Some(v) = overhead {
             overheads.push(v);
         }
-        let stalls =
-            artifact(results, &filtered).and_then(|d| d.get("icache_fetch_stalls")?.as_u64());
+        let stalls = artifacts
+            .get(&filtered)
+            .and_then(|d| d.get("icache_fetch_stalls")?.as_u64());
         table.row(vec![
             spec.name.to_string(),
-            base_cycles.map_or_else(|| "-".to_string(), |v| format!("{v:.0}")),
-            filtered_cycles.map_or_else(|| "-".to_string(), |v| format!("{v:.0}")),
+            fmt_cycles(base_cycles),
+            fmt_cycles(filtered_cycles),
             fmt_signed_pct(overhead),
             stalls.map_or_else(|| "-".to_string(), |v| v.to_string()),
         ]);
@@ -587,7 +609,7 @@ fn render_icache(results: &SweepResults) -> String {
         "Average".to_string(),
         "-".to_string(),
         "-".to_string(),
-        fmt_signed_pct((!overheads.is_empty()).then(|| arithmetic_mean(&overheads))),
+        fmt_signed_pct(column_mean(&overheads)),
         "-".to_string(),
     ]);
     format!(
@@ -612,18 +634,14 @@ pub fn leaks() -> Sweep {
             jobs.push(JobSpec::leak_probe(kind, defense));
         }
     }
-    Sweep {
-        name: "leaks",
-        title: "Leak matrix — squash-surviving taint flows per defense (taint oracle)",
+    Sweep::new(
+        "leaks",
+        "Leak matrix — squash-surviving taint flows per defense (taint oracle)",
         jobs,
-    }
+    )
 }
 
-fn leak_u64(results: &SweepResults, job: &JobSpec, field: &str) -> Option<u64> {
-    artifact(results, job)?.get("leaks")?.get(field)?.as_u64()
-}
-
-fn render_leaks(results: &SweepResults) -> String {
+fn render_leaks(artifacts: &Artifacts) -> String {
     let mut table = TextTable::with_columns(&[
         "Gadget",
         "Origin",
@@ -636,8 +654,9 @@ fn render_leaks(results: &SweepResults) -> String {
         let mut cells = vec![kind.key().to_string()];
         for defense in DefenseConfig::ALL {
             let job = JobSpec::leak_probe(kind, defense);
-            let survived = leak_u64(results, &job, "cache_fills_survived")
-                .zip(leak_u64(results, &job, "cache_lru_survived"))
+            let survived = artifacts
+                .leak_u64(&job, "cache_fills_survived")
+                .zip(artifacts.leak_u64(&job, "cache_lru_survived"))
                 .map(|(f, l)| f + l);
             cells.push(match survived {
                 Some(0) => "clean".to_string(),
@@ -664,8 +683,8 @@ fn render_leaks(results: &SweepResults) -> String {
         let mut cells = vec![kind.key().to_string()];
         for defense in DefenseConfig::ALL {
             let job = JobSpec::leak_probe(kind, defense);
-            let tlb = leak_u64(results, &job, "tlb_fills_survived");
-            let tpbuf = leak_u64(results, &job, "tpbuf_inserts_survived");
+            let tlb = artifacts.leak_u64(&job, "tlb_fills_survived");
+            let tpbuf = artifacts.leak_u64(&job, "tpbuf_inserts_survived");
             cells.push(match (tlb, tpbuf) {
                 (Some(t), Some(p)) => format!("tlb:{t} tpbuf:{p}"),
                 _ => "-".to_string(),
@@ -693,6 +712,7 @@ fn render_leaks(results: &SweepResults) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::Workload;
 
     #[test]
     fn sweeps_have_expected_sizes() {
@@ -754,22 +774,113 @@ mod tests {
         assert_eq!(unique.len(), ids.len());
     }
 
+    /// The cells of the rendered table's `Average` row, if it has one.
+    fn average_row(rendered: &str) -> Option<Vec<String>> {
+        let line = rendered.lines().find(|l| l.starts_with("Average"))?;
+        Some(
+            line.split_whitespace()
+                .skip(1)
+                .map(str::to_string)
+                .collect(),
+        )
+    }
+
     #[test]
     fn rendering_tolerates_missing_artifacts() {
+        let mut averaged = 0;
         for name in Sweep::NAMES {
             let sweep = Sweep::by_name(name).expect("known sweep");
             let rendered = sweep.render(&SweepResults::new());
             assert!(rendered.contains('-'), "{name} renders placeholders");
+            if let Some(cells) = average_row(&rendered) {
+                averaged += 1;
+                assert!(
+                    cells.iter().all(|c| c == "-"),
+                    "{name}: an empty column averages to `-`, got {cells:?}"
+                );
+            }
         }
+        assert_eq!(averaged, 5, "fig5, table5, table6, lru and icache average");
+    }
+
+    /// The Figure 5 column of a job (0 = Origin), and its benchmark's
+    /// suite index.
+    fn fig5_cell(job: &JobSpec) -> (usize, usize) {
+        let Workload::Bench { benchmark, .. } = &job.workload else {
+            panic!("fig5 runs benchmarks only");
+        };
+        let row = suite().iter().position(|s| s.name == *benchmark);
+        let col = match (job.branch_only, job.defense) {
+            (true, _) => 4,
+            (false, DefenseConfig::Origin) => 0,
+            (false, DefenseConfig::Baseline) => 1,
+            (false, DefenseConfig::CacheHit) => 2,
+            (false, DefenseConfig::CacheHitTpbuf) => 3,
+        };
+        (row.expect("suite benchmark"), col)
+    }
+
+    /// Synthetic cycles of a Figure 5 cell.
+    fn fig5_cycles(row: usize, col: usize) -> f64 {
+        (1000 + 37 * row) as f64 * (1.0 + 0.05 * col as f64 * (1 + row % 3) as f64)
+    }
+
+    /// A fig5 scaled down, with a synthetic artifact under each of its
+    /// own job hashes.
+    fn scaled_fig5_with_artifacts() -> (Sweep, SweepResults) {
+        let sweep = fig5().scaled(Some(2), Some(1));
+        let results = sweep
+            .jobs
+            .iter()
+            .map(|job| {
+                let (row, col) = fig5_cell(job);
+                let report = Json::object(vec![("cycles", Json::from(fig5_cycles(row, col)))]);
+                (job.hash_hex(), Json::object(vec![("report", report)]))
+            })
+            .collect();
+        (sweep, results)
+    }
+
+    #[test]
+    fn scaled_fig5_renders_from_its_own_artifacts() {
+        let (sweep, results) = scaled_fig5_with_artifacts();
+        let rendered = sweep.render(&results);
+        let expected: Vec<String> = (1..5)
+            .map(|col| {
+                let norms: Vec<f64> = (0..suite().len())
+                    .map(|row| fig5_cycles(row, col) / fig5_cycles(row, 0))
+                    .collect();
+                format!("{:.3}", arithmetic_mean(&norms))
+            })
+            .collect();
+        assert_eq!(average_row(&rendered), Some(expected), "{rendered}");
+        assert!(
+            rendered.split_whitespace().all(|cell| cell != "-"),
+            "every cell of a complete scaled sweep has a number:\n{rendered}"
+        );
+        // The unscaled sweep names other jobs, so it finds none of them.
+        assert_eq!(
+            average_row(&fig5().render(&results)),
+            Some(vec!["-".to_string(); 4])
+        );
+    }
+
+    #[test]
+    fn rendering_ignores_job_order() {
+        let (sweep, results) = scaled_fig5_with_artifacts();
+        let mut permuted = sweep.clone();
+        permuted.jobs.reverse();
+        permuted.jobs.rotate_left(7);
+        assert_eq!(sweep.render(&results), permuted.render(&results));
     }
 
     #[test]
     fn scaling_rewrites_window_jobs_and_rehashes() {
-        let sweep = Sweep {
-            name: "windows",
-            title: "window jobs",
-            jobs: vec![JobSpec::bench_window("gcc", DefenseConfig::Origin, 1)],
-        };
+        let sweep = Sweep::new(
+            "windows",
+            "window jobs",
+            vec![JobSpec::bench_window("gcc", DefenseConfig::Origin, 1)],
+        );
         let base_id = sweep.sweep_id();
         let scaled = sweep.scaled(Some(3), Some(1));
         assert_ne!(base_id, scaled.sweep_id(), "window jobs re-hash");
@@ -789,6 +900,11 @@ mod tests {
         let base = icache();
         let scaled = icache().scaled(Some(2), Some(1));
         assert_ne!(base.sweep_id(), scaled.sweep_id(), "a scaled sweep is new");
+        assert_eq!(scaled.scale(), (Some(2), Some(1)));
+        // Scaling twice composes: each call keeps what the other set.
+        let twice = icache().scaled(Some(2), None).scaled(None, Some(1));
+        assert_eq!(twice.sweep_id(), scaled.sweep_id());
+        assert_eq!(twice.scale(), (Some(2), Some(1)));
         for job in &scaled.jobs {
             if let Workload::Bench {
                 iterations, warmup, ..

@@ -9,7 +9,7 @@
 use condspec::DefenseConfig;
 use condspec_engine::{
     load_sweep_report_with_store, run_jobs, run_sweep, run_sweep_observed, ClaimOptions, JobSource,
-    JobSpec, ProgramCache, ResultStore, Sweep, SweepOptions, Workload,
+    JobSpec, ProgramCache, ResultStore, Sweep, SweepOptions,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -24,15 +24,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn tiny_job(benchmark: &'static str, defense: DefenseConfig) -> JobSpec {
-    let mut job = JobSpec::bench(benchmark, defense);
-    if let Workload::Bench {
-        iterations, warmup, ..
-    } = &mut job.workload
-    {
-        *iterations = 2;
-        *warmup = 1;
-    }
-    job
+    JobSpec::bench(benchmark, defense).scaled(Some(2), Some(1))
 }
 
 /// A six-job sweep small enough to run repeatedly in tests.
@@ -46,11 +38,7 @@ fn mini_sweep() -> Sweep {
             ]
         })
         .collect();
-    Sweep {
-        name: "fig5",
-        title: "mini",
-        jobs,
-    }
+    Sweep::new("fig5", "mini", jobs)
 }
 
 fn options(root: &Path, workers: usize) -> SweepOptions {
@@ -212,19 +200,19 @@ fn a_warm_store_re_simulates_nothing_and_reproduces_every_artifact() {
 fn report_falls_back_to_the_store_for_deleted_artifacts() {
     // A real named sweep (scaled down), so `load_sweep_report` rebuilds
     // the same job list from the manifest.
-    let sweep = Sweep::by_name("icache").expect("known sweep");
+    let sweep = Sweep::by_name("icache")
+        .expect("known sweep")
+        .scaled(Some(2), Some(1));
     let root = scratch("store-fallback");
     let store_root = scratch("store-fallback-db");
     let opts = SweepOptions {
         store: Some(store_root.clone()),
-        bench_iterations: Some(2),
-        bench_warmup: Some(1),
         ..options(&root, 2)
     };
     let outcome = run_sweep(&sweep, &opts).expect("run");
 
     // Delete one job artifact; the manifest stays.
-    let victim = sweep.clone().scaled(Some(2), Some(1)).jobs[0].hash_hex();
+    let victim = sweep.jobs[0].hash_hex();
     fs::remove_file(outcome.dir.join(format!("{victim}.json"))).expect("delete artifact");
 
     let without = condspec_engine::load_sweep_report(&root, &outcome.sweep_id).expect("report");
@@ -441,22 +429,15 @@ fn claim_mode_sweeps_account_every_job_once_in_the_manifest() {
 #[test]
 fn scaled_sweeps_round_trip_through_manifest_and_report() {
     let root = scratch("scaled");
-    let sweep = Sweep::by_name("icache").expect("known sweep");
-    let opts = SweepOptions {
-        bench_iterations: Some(2),
-        bench_warmup: Some(1),
-        workers: 2,
-        root: root.clone(),
-        quiet: true,
-        ..SweepOptions::default()
-    };
-    let outcome = run_sweep(&sweep, &opts).expect("scaled run");
+    let unscaled = Sweep::by_name("icache").expect("known sweep");
+    let sweep = unscaled.clone().scaled(Some(2), Some(1));
+    let outcome = run_sweep(&sweep, &options(&root, 2)).expect("scaled run");
     assert_eq!(
         outcome.sweep_id,
-        sweep.clone().scaled(Some(2), Some(1)).sweep_id(),
+        sweep.sweep_id(),
         "the outcome id is the scaled sweep's id"
     );
-    assert_ne!(outcome.sweep_id, sweep.sweep_id());
+    assert_ne!(outcome.sweep_id, unscaled.sweep_id());
 
     // The manifest records the overrides, so the report rebuilds the
     // scaled job list and finds every artifact.
@@ -465,5 +446,12 @@ fn scaled_sweeps_round_trip_through_manifest_and_report() {
     assert!(report.missing.is_empty(), "every scaled job resolves");
     assert!(report.failed.is_empty());
     assert_eq!(report.results.len(), sweep.jobs.len());
+
+    // Both renders read the scaled jobs' artifacts: the only `-` cells
+    // are the three columns the Average row never fills.
+    let rendered = sweep.render(&outcome.results);
+    assert_eq!(report.sweep.render(&report.results), rendered);
+    let placeholders = rendered.split_whitespace().filter(|c| *c == "-").count();
+    assert_eq!(placeholders, 3, "{rendered}");
     fs::remove_dir_all(&root).ok();
 }

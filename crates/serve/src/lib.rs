@@ -46,7 +46,6 @@ use condspec::{leak_report_to_json, DefenseConfig};
 use condspec_attacks::{leak_probe, traced_variant_round, AttackScenario};
 use condspec_engine::{
     load_sweep_report_with_store, JobSpec, MachinePreset, ProgramCache, ResultStore, Sweep,
-    Workload,
 };
 use condspec_stats::{Json, MetricsRegistry};
 use condspec_workloads::GadgetKind;
@@ -296,14 +295,16 @@ fn submit_sweep(
             )),
         );
     };
-    let iterations = body.get("iters").and_then(Json::as_u64);
-    let warmup = body.get("warmup").and_then(Json::as_u64);
+    let sweep = sweep.scaled(
+        body.get("iters").and_then(Json::as_u64),
+        body.get("warmup").and_then(Json::as_u64),
+    );
     if body.get("distributed").and_then(Json::as_bool) == Some(true) {
         let claim_timeout = body
             .get("claim_timeout_ms")
             .and_then(Json::as_u64)
             .map(Duration::from_millis);
-        return match state.submit_distributed(sweep, iterations, warmup, claim_timeout) {
+        return match state.submit_distributed(sweep, claim_timeout) {
             Ok((id, sweep_id)) => respond_json(
                 stream,
                 202,
@@ -332,7 +333,7 @@ fn submit_sweep(
             }
         },
     };
-    let (id, sweep_id) = state.submit(sweep, iterations, warmup, mode);
+    let (id, sweep_id) = state.submit(sweep, mode);
     respond_json(
         stream,
         202,
@@ -461,18 +462,10 @@ fn parse_job(body: &Json) -> Result<JobSpec, String> {
                 .ok_or("missing \"benchmark\"")?;
             let spec = condspec_workloads::spec::by_name(benchmark)
                 .ok_or_else(|| format!("unknown benchmark `{benchmark}`"))?;
-            let mut job = JobSpec::bench(spec.name, defense);
-            if let Workload::Bench {
-                iterations, warmup, ..
-            } = &mut job.workload
-            {
-                if let Some(i) = body.get("iters").and_then(Json::as_u64) {
-                    *iterations = i;
-                }
-                if let Some(w) = body.get("warmup").and_then(Json::as_u64) {
-                    *warmup = w;
-                }
-            }
+            let mut job = JobSpec::bench(spec.name, defense).scaled(
+                body.get("iters").and_then(Json::as_u64),
+                body.get("warmup").and_then(Json::as_u64),
+            );
             if let Some(key) = body.get("machine").and_then(Json::as_str) {
                 job.machine = MachinePreset::from_key(key)
                     .ok_or_else(|| format!("unknown machine `{key}`"))?;
@@ -711,18 +704,10 @@ fn serve_timeseries(stream: &mut TcpStream, request: &Request) -> io::Result<()>
         },
         None => DefenseConfig::CacheHitTpbuf,
     };
-    let mut job = JobSpec::bench(spec.name, defense);
-    if let Workload::Bench {
-        iterations, warmup, ..
-    } = &mut job.workload
-    {
-        if let Some(i) = request.query("iters").and_then(|v| v.parse().ok()) {
-            *iterations = i;
-        }
-        if let Some(w) = request.query("warmup").and_then(|v| v.parse().ok()) {
-            *warmup = w;
-        }
-    }
+    let job = JobSpec::bench(spec.name, defense).scaled(
+        request.query("iters").and_then(|v| v.parse().ok()),
+        request.query("warmup").and_then(|v| v.parse().ok()),
+    );
     let window = request
         .query("window")
         .and_then(|v| v.parse().ok())

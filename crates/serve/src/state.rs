@@ -166,8 +166,8 @@ pub struct ServerState {
     pub connection_errors: AtomicU64,
     /// Store hits across every finished submission (daemon lifetime).
     pub store_hits_total: AtomicU64,
-    /// Store inserts (fresh simulations with the store on) across every
-    /// finished submission.
+    /// Store entries written ([`ResultStore::inserts`]) across every
+    /// finished submission; a failed write is not an insert.
     pub store_inserts_total: AtomicU64,
     /// Failed store writes ([`ResultStore::io_errors`]) summed over every
     /// store the daemon opened: submissions, `/api/jobs` runs and
@@ -214,16 +214,15 @@ struct WorkItem {
     failed: bool,
 }
 
-/// One distributed submission's work queue: the scaled sweep, one item
-/// per job, and the artifacts collected so far. Jobs already in the
-/// store are resolved at submit time; the rest are handed out over
-/// `POST /api/work/claim` and reported back over `POST /api/work/result`.
+/// One distributed submission's work queue: the sweep (scaled as
+/// submitted), one item per job, and the artifacts collected so far.
+/// Jobs already in the store are resolved at submit time; the rest are
+/// handed out over `POST /api/work/claim` and reported back over
+/// `POST /api/work/result`.
 struct DistributedRun {
     submission: u64,
     sweep: Sweep,
     dir: SweepDir,
-    iterations: Option<u64>,
-    warmup: Option<u64>,
     /// A claimed item not reported or heartbeat within this window is
     /// requeued (requeue-on-disconnect).
     claim_timeout: Duration,
@@ -267,6 +266,14 @@ impl ServerState {
         }
     }
 
+    /// Adds a finished submission's store hits and landed inserts to the
+    /// daemon-lifetime totals.
+    fn count_store_traffic(&self, hits: u64, inserts: u64) {
+        self.store_hits_total.fetch_add(hits, Ordering::Relaxed);
+        self.store_inserts_total
+            .fetch_add(inserts, Ordering::Relaxed);
+    }
+
     /// Submissions still queued or running (the `/healthz` "jobs in
     /// flight" figure).
     pub fn in_flight(&self) -> usize {
@@ -287,34 +294,27 @@ impl ServerState {
     /// deliberately off: repeat submissions must demonstrate their
     /// cache hits through the *store* (observable, counted), not
     /// through silent directory resume.
-    pub fn sweep_options(&self, iterations: Option<u64>, warmup: Option<u64>) -> SweepOptions {
+    pub fn sweep_options(&self) -> SweepOptions {
         SweepOptions {
             workers: self.workers,
             root: self.runs_root.clone(),
             store: self.store_root.clone(),
-            bench_iterations: iterations,
-            bench_warmup: warmup,
             quiet: true,
             ..SweepOptions::default()
         }
     }
 
-    /// Registers a new submission and starts its sweep thread. Returns
+    /// Registers a new submission and starts its sweep thread. `sweep`
+    /// carries its own scale ([`Sweep::scaled`]). Returns
     /// `(submission id, sweep id)`.
-    pub fn submit(
-        self: &Arc<Self>,
-        sweep: Sweep,
-        iterations: Option<u64>,
-        warmup: Option<u64>,
-        mode: SubmitMode,
-    ) -> (u64, String) {
-        let opts = self.sweep_options(iterations, warmup);
-        let scaled_id = sweep.clone().scaled(iterations, warmup).sweep_id();
+    pub fn submit(self: &Arc<Self>, sweep: Sweep, mode: SubmitMode) -> (u64, String) {
+        let opts = self.sweep_options();
+        let sweep_id = sweep.sweep_id();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.submissions.lock().expect("registry").push(Submission {
             id,
             sweep: sweep.name.to_string(),
-            sweep_id: scaled_id.clone(),
+            sweep_id: sweep_id.clone(),
             mode,
             status: SubmissionStatus::Queued,
             progress: SweepProgress {
@@ -344,16 +344,11 @@ impl ServerState {
                             state
                                 .store_io_errors_total
                                 .fetch_add(outcome.store_io_errors, Ordering::Relaxed);
-                            if state.store_root.is_some() {
-                                state
-                                    .store_hits_total
-                                    .fetch_add(outcome.store_hits as u64, Ordering::Relaxed);
-                                state
-                                    .store_inserts_total
-                                    .fetch_add(outcome.executed as u64, Ordering::Relaxed);
-                            }
-                            let report =
-                                render_report(&sweep, iterations, warmup, &outcome.results);
+                            state.count_store_traffic(
+                                outcome.store_hits as u64,
+                                outcome.store_inserts,
+                            );
+                            let report = sweep.render(&outcome.results);
                             state.update(id, move |s| {
                                 s.status = SubmissionStatus::Done;
                                 s.report = Some(report);
@@ -369,26 +364,20 @@ impl ServerState {
                     }
                 }
                 SubmitMode::Sampled => {
-                    let scaled = sweep.clone().scaled(iterations, warmup);
                     let workers = if state.workers == 0 {
                         default_workers()
                     } else {
                         state.workers
                     };
                     let store = state.store_root.as_ref().map(ResultStore::open);
-                    let (results, hits, inserts) =
-                        run_sampled_submission(&scaled, workers, store.as_ref(), |p| {
+                    let (results, hits) =
+                        run_sampled_submission(&sweep, workers, store.as_ref(), |p| {
                             let p = *p;
                             state.update(id, move |s| s.progress = p);
                         });
                     state.count_store_io_errors(store.as_ref());
-                    if state.store_root.is_some() {
-                        state.store_hits_total.fetch_add(hits, Ordering::Relaxed);
-                        state
-                            .store_inserts_total
-                            .fetch_add(inserts, Ordering::Relaxed);
-                    }
-                    let report = scaled.render(&results);
+                    state.count_store_traffic(hits, store.as_ref().map_or(0, ResultStore::inserts));
+                    let report = sweep.render(&results);
                     state.update(id, move |s| {
                         s.status = SubmissionStatus::Done;
                         s.report = Some(report);
@@ -396,7 +385,7 @@ impl ServerState {
                 }
             }
         });
-        (id, scaled_id)
+        (id, sweep_id)
     }
 
     /// Applies `f` to the submission with `id`, if it exists.
@@ -430,7 +419,8 @@ impl ServerState {
     /// resolve immediately (with their recorded inserting shard as
     /// provenance); the rest form a pull-model work queue drained by
     /// remote workers over `POST /api/work/claim` / `/api/work/result`.
-    /// No local simulation happens at all. Returns
+    /// No local simulation happens at all. `sweep` carries its own scale
+    /// ([`Sweep::scaled`]), which the work descriptors hand on. Returns
     /// `(submission id, sweep id)`.
     ///
     /// # Errors
@@ -440,19 +430,16 @@ impl ServerState {
     pub fn submit_distributed(
         &self,
         sweep: Sweep,
-        iterations: Option<u64>,
-        warmup: Option<u64>,
         claim_timeout: Option<Duration>,
     ) -> io::Result<(u64, String)> {
-        let scaled = sweep.clone().scaled(iterations, warmup);
-        let sweep_id = scaled.sweep_id();
+        let sweep_id = sweep.sweep_id();
         let dir = SweepDir::create(&self.runs_root, &sweep_id)?;
         let store = self.store_root.as_ref().map(ResultStore::open);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut items = Vec::with_capacity(scaled.jobs.len());
+        let mut items = Vec::with_capacity(sweep.jobs.len());
         let mut results = SweepResults::new();
         let mut write_error: Option<io::Error> = None;
-        for job in &scaled.jobs {
+        for job in &sweep.jobs {
             let resolved = store
                 .as_ref()
                 .and_then(|s| s.load_with_origin(&job.store_key()));
@@ -489,7 +476,7 @@ impl ServerState {
             status: SubmissionStatus::Running,
             progress: SweepProgress {
                 done: hits,
-                total: scaled.jobs.len(),
+                total: sweep.jobs.len(),
                 simulated: 0,
                 store_hits: hits,
                 remote: 0,
@@ -501,10 +488,8 @@ impl ServerState {
         });
         let run = DistributedRun {
             submission: id,
-            sweep: scaled,
+            sweep,
             dir,
-            iterations,
-            warmup,
             claim_timeout: claim_timeout.unwrap_or(Self::DEFAULT_CLAIM_TIMEOUT),
             items,
             results,
@@ -575,10 +560,11 @@ impl ServerState {
                     Json::from(run.claim_timeout.as_millis() as u64),
                 ),
             ];
-            if let Some(iters) = run.iterations {
+            let (iters, warmup) = run.sweep.scale();
+            if let Some(iters) = iters {
                 fields.push(("iters", Json::from(iters)));
             }
-            if let Some(warmup) = run.warmup {
+            if let Some(warmup) = warmup {
                 fields.push(("warmup", Json::from(warmup)));
             }
             return Json::object(fields);
@@ -739,25 +725,9 @@ impl ServerState {
             };
             (source, item.owner.clone())
         });
-        write_sweep_manifest(
-            &run.dir,
-            &run.sweep,
-            run.iterations,
-            run.warmup,
-            &run.results,
-            provenance,
-        )?;
-        if self.store_root.is_some() {
-            let hits = run.items.iter().filter(|i| i.via_store).count() as u64;
-            let simulated = run
-                .items
-                .iter()
-                .filter(|i| !i.via_store && !i.failed)
-                .count() as u64;
-            self.store_hits_total.fetch_add(hits, Ordering::Relaxed);
-            self.store_inserts_total
-                .fetch_add(simulated, Ordering::Relaxed);
-        }
+        write_sweep_manifest(&run.dir, &run.sweep, &run.results, provenance)?;
+        let hits = run.items.iter().filter(|i| i.via_store).count() as u64;
+        self.count_store_traffic(hits, run.store.as_ref().map_or(0, ResultStore::inserts));
         let report = run.sweep.render(&run.results);
         self.update(run.submission, move |s| {
             s.status = SubmissionStatus::Done;
@@ -791,17 +761,17 @@ impl ServerState {
 /// under the job's hash so the sweep's ordinary renderer draws the
 /// table; attack and variant jobs run detailed through the scheduler.
 /// Returns the collected results plus the submission's window-level
-/// store hit/insert counts (a sampled job fans into many window jobs,
-/// each individually store-cached).
+/// store hit count (a sampled job fans into many window jobs, each
+/// individually store-cached).
 fn run_sampled_submission(
     sweep: &Sweep,
     workers: usize,
     store: Option<&ResultStore>,
     mut on_progress: impl FnMut(&SweepProgress),
-) -> (SweepResults, u64, u64) {
+) -> (SweepResults, u64) {
     let programs = Arc::new(ProgramCache::new());
     let mut results = SweepResults::new();
-    let (mut window_hits, mut window_inserts) = (0u64, 0u64);
+    let mut window_hits = 0u64;
     let mut progress = SweepProgress {
         done: 0,
         total: sweep.jobs.len(),
@@ -815,7 +785,6 @@ fn run_sampled_submission(
             Some(spec) => match run_sampled_bench_with(&spec, workers, &programs, store) {
                 Ok(outcome) => {
                     window_hits += outcome.store_hits as u64;
-                    window_inserts += outcome.executed as u64;
                     if outcome.executed == 0 && outcome.store_hits > 0 {
                         progress.store_hits += 1;
                     } else {
@@ -859,18 +828,5 @@ fn run_sampled_submission(
         progress.done += 1;
         on_progress(&progress);
     }
-    (results, window_hits, window_inserts)
-}
-
-/// Renders a submission's report from its collected results. The scaled
-/// sweep renders through the same `Sweep::render` as the CLI, so a
-/// daemon report is byte-identical to `condspec report` on the same
-/// artifacts.
-fn render_report(
-    sweep: &Sweep,
-    iterations: Option<u64>,
-    warmup: Option<u64>,
-    results: &SweepResults,
-) -> String {
-    sweep.clone().scaled(iterations, warmup).render(results)
+    (results, window_hits)
 }

@@ -741,16 +741,16 @@ fn failed_store_writes_reach_the_metrics() {
     let addr = server.local_addr().expect("addr");
     let daemon = std::thread::spawn(move || server.run().expect("serve"));
 
-    let io_errors = || {
+    let counter = |name: &str| {
         let (status, body) = get(addr, "/api/metrics");
         assert_eq!(status, 200, "{body}");
         Json::parse(&body)
             .expect("metrics JSON")
-            .get("store.io_errors")
+            .get(name)
             .and_then(Json::as_u64)
-            .expect("store.io_errors counter")
+            .unwrap_or_else(|| panic!("{name} counter in {body}"))
     };
-    assert_eq!(io_errors(), 0);
+    assert_eq!(counter("store.io_errors"), 0);
     let (status, body) = post(addr, "/api/sweeps", "{\"sweep\":\"leaks\"}");
     assert_eq!(status, 202, "{body}");
     let id = Json::parse(&body)
@@ -765,11 +765,74 @@ fn failed_store_writes_reach_the_metrics() {
         "a failed store write must not fail the submission: {}",
         doc.render()
     );
-    assert!(io_errors() > 0, "the failed inserts were not counted");
+    assert!(
+        counter("store.io_errors") > 0,
+        "the failed inserts were not counted"
+    );
+    assert_eq!(counter("store.inserts"), 0, "no insert landed");
 
     let (status, body) = post(addr, "/api/shutdown", "");
     assert_eq!(status, 200, "{body}");
     daemon.join().expect("daemon thread exits cleanly");
     std::fs::remove_dir_all(&runs_root).ok();
     std::fs::remove_file(&store_root).ok();
+}
+
+#[test]
+fn scaled_submission_reports_every_cell() {
+    let runs_root = scratch("scaled-report");
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        runs_root: runs_root.clone(),
+        store_root: None,
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || server.run().expect("serve"));
+
+    let (status, body) = post(
+        addr,
+        "/api/sweeps",
+        "{\"sweep\":\"icache\",\"iters\":1,\"warmup\":1}",
+    );
+    assert_eq!(status, 202, "{body}");
+    let accepted = Json::parse(&body).expect("submission receipt");
+    let id = accepted
+        .get("submission")
+        .and_then(Json::as_u64)
+        .expect("id");
+    let sweep_id = accepted
+        .get("sweep_id")
+        .and_then(Json::as_str)
+        .expect("sweep id")
+        .to_string();
+    let doc = await_submission(addr, id);
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
+    assert_eq!(doc.get("failed").and_then(Json::as_u64), Some(0));
+
+    // Every benchmark row renders from the scaled jobs' artifacts; the
+    // Average row fills the one column it averages.
+    let (status, report) = get(addr, &format!("/api/sweeps/{id}/report"));
+    assert_eq!(status, 200, "{report}");
+    let mut rows = 0;
+    for line in report.lines() {
+        let cells: Vec<&str> = line.split_whitespace().collect();
+        if condspec_workloads::spec::by_name(cells.first().copied().unwrap_or("")).is_some() {
+            rows += 1;
+            assert!(!cells.contains(&"-"), "empty cell in `{line}`");
+        } else if cells.first() == Some(&"Average") {
+            assert_ne!(cells[3], "-", "empty average in `{line}`");
+        }
+    }
+    assert_eq!(rows, 22, "{report}");
+    // Re-rendered from the run directory's manifest, the report agrees.
+    let (status, by_id) = get(addr, &format!("/api/report/{sweep_id}"));
+    assert_eq!(status, 200, "{by_id}");
+    assert_eq!(by_id, report);
+
+    let (status, body) = post(addr, "/api/shutdown", "");
+    assert_eq!(status, 200, "{body}");
+    daemon.join().expect("daemon thread exits cleanly");
+    std::fs::remove_dir_all(&runs_root).ok();
 }
